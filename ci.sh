@@ -41,6 +41,11 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo build --release"
 cargo build --release --workspace
 
+echo "==> cargo build --release (perfbench)"
+# The end-to-end benchmark is a workspace of its own; building it here
+# makes a core API change that breaks it fail CI, not the next bench run.
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "==> cargo test -q"
 cargo test -q --workspace
 

@@ -6,9 +6,9 @@
 //! block-wavefront path, so `cargo bench -p adalsh-bench --bench
 //! pairwise` directly shows the speedup.
 
-use adalsh_bench::pairwise_bench::{match_dense, match_sparse};
+use adalsh_bench::pairwise_bench::{match_dense, match_sparse, wavefront};
 use adalsh_core::algorithm::default_threads;
-use adalsh_core::pairwise::{apply_pairwise, apply_pairwise_scalar};
+use adalsh_core::pairwise::apply_pairwise_scalar;
 use adalsh_core::stats::Stats;
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use std::hint::black_box;
@@ -35,7 +35,7 @@ fn bench_pairwise(c: &mut Criterion) {
             g.bench_function(format!("wavefront/{regime}/{n}"), |b| {
                 b.iter(|| {
                     let mut stats = Stats::default();
-                    black_box(apply_pairwise(
+                    black_box(wavefront(
                         &dataset,
                         &rule,
                         black_box(&ids),

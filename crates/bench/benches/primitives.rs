@@ -4,9 +4,9 @@
 //! the per-operation costs the paper's cost model (Definition 3)
 //! abstracts as `costᵢ` and `cost_P`.
 
+use adalsh_bench::pairwise_bench::wavefront;
 use adalsh_core::bins::BinIndex;
 use adalsh_core::hashing::{HashPart, LevelScheme, RecordHashState, SequenceHasher};
-use adalsh_core::pairwise::apply_pairwise;
 use adalsh_core::ppt::Forest;
 use adalsh_core::stats::Stats;
 use adalsh_core::transitive::apply_transitive;
@@ -319,7 +319,7 @@ fn bench_transitive_and_pairwise(c: &mut Criterion) {
     g.bench_function("pairwise_P_120rec", |b| {
         b.iter(|| {
             let mut stats = Stats::default();
-            black_box(apply_pairwise(&dataset, &rule, &small, 1, &mut stats))
+            black_box(wavefront(&dataset, &rule, &small, 1, &mut stats))
         })
     });
     g.finish();

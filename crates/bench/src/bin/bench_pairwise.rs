@@ -17,10 +17,10 @@
 //! CI exercises the recorder end-to-end in under a second; it does not
 //! overwrite the committed baseline.
 
-use adalsh_bench::pairwise_bench::{match_dense, match_sparse};
+use adalsh_bench::pairwise_bench::{match_dense, match_sparse, wavefront};
 use adalsh_bench::recorder::provenance_fields;
 use adalsh_core::algorithm::default_threads;
-use adalsh_core::pairwise::{apply_pairwise, apply_pairwise_scalar};
+use adalsh_core::pairwise::apply_pairwise_scalar;
 use adalsh_core::stats::Stats;
 use adalsh_data::{Dataset, MatchRule};
 use std::hint::black_box;
@@ -55,7 +55,7 @@ fn time_pair(dataset: &Dataset, rule: &MatchRule, threads: usize) -> (f64, f64) 
     });
     let wavefront = measure(|| {
         let mut stats = Stats::default();
-        black_box(apply_pairwise(
+        black_box(wavefront(
             dataset,
             rule,
             black_box(&ids),

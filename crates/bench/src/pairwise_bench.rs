@@ -15,10 +15,28 @@
 //!   the regime where the cached-norm kernel (one dot product instead of
 //!   three) and multi-threaded evaluation pay off.
 
+use adalsh_core::pairwise::{apply_pairwise, DEFAULT_PAIR_BLOCK};
+use adalsh_core::stats::Stats;
+use adalsh_core::{ExactOracle, TraceSink};
 use adalsh_data::{
     Dataset, DenseVector, FieldDistance, FieldKind, FieldValue, MatchRule, Record, Schema,
     ShingleSet,
 };
+
+/// The wavefront `P` the benches time: the exact rule oracle at the
+/// default block size, no ledger, tracing off.
+pub fn wavefront(
+    dataset: &Dataset,
+    rule: &MatchRule,
+    ids: &[u32],
+    threads: usize,
+    stats: &mut Stats,
+) -> Vec<Vec<u32>> {
+    let oracle = ExactOracle::new(rule);
+    let sink = TraceSink::disabled();
+    let block = DEFAULT_PAIR_BLOCK;
+    apply_pairwise(dataset, &oracle, ids, threads, block, None, &sink, stats).0
+}
 
 /// Deterministic SplitMix64 — the benches must not depend on `rand`
 /// being seeded the same way across versions.
@@ -82,8 +100,7 @@ pub fn match_sparse(n: usize) -> (Dataset, MatchRule) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use adalsh_core::pairwise::{apply_pairwise, apply_pairwise_scalar};
-    use adalsh_core::stats::Stats;
+    use adalsh_core::pairwise::apply_pairwise_scalar;
 
     #[test]
     fn regimes_have_the_intended_shape() {
@@ -93,7 +110,7 @@ mod tests {
 
         let (d, rule) = match_dense(n);
         let mut st = Stats::default();
-        let out = apply_pairwise(&d, &rule, &ids, 2, &mut st);
+        let out = wavefront(&d, &rule, &ids, 2, &mut st);
         assert_eq!(out.len(), 1, "dense regime is one entity");
         assert_eq!(
             st.pair_comparisons,
@@ -103,7 +120,7 @@ mod tests {
 
         let (d, rule) = match_sparse(n);
         let mut st = Stats::default();
-        let out = apply_pairwise(&d, &rule, &ids, 2, &mut st);
+        let out = wavefront(&d, &rule, &ids, 2, &mut st);
         assert!(
             out.len() > n * 9 / 10,
             "sparse regime leaves almost everything unmerged ({} clusters)",
@@ -120,7 +137,7 @@ mod tests {
         for (d, rule) in [match_dense(48), match_sparse(48)] {
             let ids: Vec<u32> = (0..48).collect();
             let mut st_a = Stats::default();
-            let a = apply_pairwise(&d, &rule, &ids, 3, &mut st_a);
+            let a = wavefront(&d, &rule, &ids, 3, &mut st_a);
             let mut st_b = Stats::default();
             let b = apply_pairwise_scalar(&d, &rule, &ids, &mut st_b);
             assert_eq!(a, b);

@@ -27,8 +27,10 @@ use rand::{Rng, SeedableRng};
 use crate::bins::BinIndex;
 use crate::cost::CostModel;
 use crate::hashing::{RecordHashState, SequenceHasher};
-use crate::oracle::{NoisyOracle, OracleMode, OracleSpend, SpendLedger, VerdictOverlay};
-use crate::pairwise::{apply_pairwise_oracle, apply_pairwise_traced, DEFAULT_PAIR_BLOCK};
+use crate::oracle::{
+    ExactOracle, NoisyOracle, OracleMode, OracleSpend, SpendLedger, VerdictOverlay,
+};
+use crate::pairwise::{apply_pairwise, DEFAULT_PAIR_BLOCK};
 use crate::sequence::{design, SequenceSpec};
 use crate::stats::Stats;
 use crate::transitive::apply_transitive_threaded;
@@ -517,27 +519,26 @@ impl AdaLsh {
                 stats.modeled_cost += predicted;
                 let before = stats;
                 let round_start = sink.enabled().then(Instant::now);
-                let (subs, ptrace) = match (&self.config.oracle, &mut oracle_ledger) {
-                    (OracleMode::Noisy(ocfg), Some(ledger)) => {
-                        let oracle = NoisyOracle::new(&self.config.rule, ocfg.clone())
-                            .with_overlay(self.config.oracle_overlay.clone());
-                        apply_pairwise_oracle(
-                            store,
-                            &oracle,
-                            &entry.records,
-                            self.config.threads,
-                            DEFAULT_PAIR_BLOCK,
-                            ledger,
-                            &sink,
-                            &mut stats,
-                        )
-                    }
-                    _ => apply_pairwise_traced(
+                let ledger = oracle_ledger.as_mut();
+                let (subs, ptrace) = match &self.config.oracle {
+                    OracleMode::Exact => apply_pairwise(
                         store,
-                        &self.config.rule,
+                        &ExactOracle::new(&self.config.rule),
                         &entry.records,
                         self.config.threads,
                         DEFAULT_PAIR_BLOCK,
+                        ledger,
+                        &sink,
+                        &mut stats,
+                    ),
+                    OracleMode::Noisy(ocfg) => apply_pairwise(
+                        store,
+                        &NoisyOracle::new(&self.config.rule, ocfg.clone())
+                            .with_overlay(self.config.oracle_overlay.clone()),
+                        &entry.records,
+                        self.config.threads,
+                        DEFAULT_PAIR_BLOCK,
+                        ledger,
                         &sink,
                         &mut stats,
                     ),
@@ -715,7 +716,7 @@ impl FilterMethod for AdaLsh {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pairwise::apply_pairwise;
+    use crate::pairwise::apply_pairwise_scalar;
     use adalsh_data::{Dataset, FieldDistance, FieldKind, Record, Schema, ShingleSet};
 
     /// A dataset with planted entities: entity e has `sizes[e]` records,
@@ -825,7 +826,7 @@ mod tests {
         let out = ada.run(&d, 3);
         let mut st = Stats::default();
         let all: Vec<u32> = (0..d.len() as u32).collect();
-        let mut exact = apply_pairwise(&d, &jaccard_config().rule, &all, 1, &mut st);
+        let mut exact = apply_pairwise_scalar(&d, &jaccard_config().rule, &all, &mut st);
         exact.sort_by_key(|c| std::cmp::Reverse(c.len()));
         let mut expected: Vec<u32> = exact[..3].iter().flatten().copied().collect();
         expected.sort_unstable();

@@ -16,9 +16,11 @@
 //! with the main algorithm, as the paper's comparison demands.
 
 use adalsh_data::{MatchRule, RecordStore};
+use adalsh_obs::TraceSink;
 
 use crate::algorithm::{default_threads, AdaLsh, AdaLshConfig, FilterMethod, FilterOutput};
-use crate::pairwise::apply_pairwise;
+use crate::oracle::ExactOracle;
+use crate::pairwise::{apply_pairwise, DEFAULT_PAIR_BLOCK};
 use crate::sequence::{BudgetStrategy, SequenceSpec};
 use crate::stats::Stats;
 
@@ -55,7 +57,16 @@ impl FilterMethod for Pairs {
         let start = std::time::Instant::now();
         let mut stats = Stats::default();
         let all: Vec<u32> = (0..store.len() as u32).collect();
-        let mut clusters = apply_pairwise(store, &self.rule, &all, self.threads, &mut stats);
+        let (mut clusters, _) = apply_pairwise(
+            store,
+            &ExactOracle::new(&self.rule),
+            &all,
+            self.threads,
+            DEFAULT_PAIR_BLOCK,
+            None,
+            &TraceSink::disabled(),
+            &mut stats,
+        );
         // Canonical order (see the same normalization in the engine).
         for c in &mut clusters {
             c.sort_unstable();

@@ -17,10 +17,10 @@
 
 use std::collections::HashSet;
 
-use adalsh_data::{MatchRule, RecordStore};
+use adalsh_data::{ExitCounts, MatchRule, RecordStore};
 use adalsh_obs::TraceSink;
 
-use crate::oracle::{emit_oracle_call, PairwiseOracle, SpendLedger};
+use crate::oracle::{emit_oracle_call, ExactOracle, PairwiseOracle, SpendLedger};
 use crate::stats::Stats;
 
 /// The paper's perfect recovery (§6.2.1): for each entity referenced by
@@ -65,46 +65,34 @@ pub fn perfect_er_on_output(store: &dyn RecordStore, output_records: &[u32]) -> 
 /// members of each output cluster (the benchmark recovery algorithm's
 /// work, §6.2.2) and adds it to the first cluster containing a matching
 /// record. Returns the augmented clusters (descending size) and counts
-/// the comparisons in `stats`.
+/// the comparisons in `stats`. This is [`rule_recovery_oracle`] through
+/// the [`ExactOracle`], with no ledger.
 pub fn rule_recovery(
     store: &dyn RecordStore,
     rule: &MatchRule,
     clusters: &[Vec<u32>],
     stats: &mut Stats,
 ) -> Vec<Vec<u32>> {
-    let included: HashSet<u32> = clusters.iter().flatten().copied().collect();
-    let mut augmented: Vec<Vec<u32>> = clusters.to_vec();
-    let per_pair = rule.num_elementary_distances() as u64;
-    for r in 0..store.len() as u32 {
-        if included.contains(&r) {
-            continue;
-        }
-        'next_record: for cluster in &mut augmented {
-            for i in 0..cluster.len() {
-                let m = cluster[i];
-                stats.pair_comparisons += 1;
-                stats.distance_evals += per_pair;
-                if rule.matches_in(store, r, m) {
-                    cluster.push(r);
-                    break 'next_record;
-                }
-            }
-        }
-    }
-    for c in &mut augmented {
-        c.sort_unstable();
-    }
-    augmented.sort_by(|a, b| b.len().cmp(&a.len()).then_with(|| a[0].cmp(&b[0])));
-    augmented
+    let oracle = ExactOracle::new(rule);
+    rule_recovery_oracle(
+        store,
+        &oracle,
+        clusters,
+        None,
+        &TraceSink::disabled(),
+        stats,
+    )
 }
 
 /// [`rule_recovery`] through a [`PairwiseOracle`]: every excluded-record
-/// vs cluster-member comparison is one adjudication, settled through the
-/// ledger **in the sequential scan order** (recovery is single-threaded,
-/// so that order is the canonical one). Budget exhaustion degrades the
-/// remaining comparisons to the cheap rule rather than aborting — under
-/// a zero-noise oracle the output is identical to [`rule_recovery`]
-/// regardless of budget, because the fallback *is* the rule.
+/// vs cluster-member comparison is one adjudication. With a `ledger`,
+/// each is settled through it **in the sequential scan order** (recovery
+/// is single-threaded, so that order is the canonical one), and budget
+/// exhaustion degrades the remaining comparisons to the cheap rule
+/// rather than aborting — under a zero-noise oracle the output is
+/// identical to [`rule_recovery`] regardless of budget, because the
+/// fallback *is* the rule. Without one, the oracle's verdict applies as
+/// is.
 ///
 /// One `oracle_call` trace event is emitted per settled comparison when
 /// the sink is enabled (recovery runs outside engine run segments; the
@@ -113,14 +101,14 @@ pub fn rule_recovery_oracle(
     store: &dyn RecordStore,
     oracle: &dyn PairwiseOracle,
     clusters: &[Vec<u32>],
-    ledger: &mut SpendLedger,
+    mut ledger: Option<&mut SpendLedger>,
     sink: &TraceSink,
     stats: &mut Stats,
 ) -> Vec<Vec<u32>> {
     let included: HashSet<u32> = clusters.iter().flatten().copied().collect();
     let mut augmented: Vec<Vec<u32>> = clusters.to_vec();
     let per_pair = oracle.num_elementary_distances() as u64;
-    let traced = sink.enabled();
+    let mut counts = ExitCounts::default();
     for r in 0..store.len() as u32 {
         if included.contains(&r) {
             continue;
@@ -130,12 +118,18 @@ pub fn rule_recovery_oracle(
                 let m = cluster[i];
                 stats.pair_comparisons += 1;
                 stats.distance_evals += per_pair;
-                let adj = oracle.adjudicate(store, r, m);
-                let settled = ledger.settle(r, m, &adj);
-                if traced {
-                    emit_oracle_call(sink, &settled);
-                }
-                if settled.matched {
+                let adj = oracle.adjudicate(store, r, m, &mut counts);
+                let matched = match ledger.as_deref_mut() {
+                    Some(ledger) => {
+                        let settled = ledger.settle(r, m, &adj);
+                        if sink.enabled() {
+                            emit_oracle_call(sink, &settled);
+                        }
+                        settled.matched
+                    }
+                    None => adj.matched,
+                };
+                if matched {
                     cluster.push(r);
                     break 'next_record;
                 }
@@ -259,7 +253,7 @@ mod tests {
             &d,
             &oracle,
             &clusters,
-            &mut ledger,
+            Some(&mut ledger),
             &TraceSink::disabled(),
             &mut st,
         );
@@ -285,7 +279,7 @@ mod tests {
             &d,
             &oracle,
             &clusters,
-            &mut ledger,
+            Some(&mut ledger),
             &TraceSink::disabled(),
             &mut st,
         );
@@ -319,7 +313,7 @@ mod tests {
             &d,
             &oracle,
             &clusters,
-            &mut ledger,
+            Some(&mut ledger),
             &TraceSink::disabled(),
             &mut st,
         );
@@ -342,7 +336,7 @@ mod tests {
             &d,
             &oracle,
             &[],
-            &mut ledger,
+            Some(&mut ledger),
             &TraceSink::disabled(),
             &mut st,
         );
@@ -366,7 +360,7 @@ mod tests {
             &d,
             &oracle,
             &[vec![5]],
-            &mut ledger,
+            Some(&mut ledger),
             &TraceSink::disabled(),
             &mut st,
         );
@@ -377,7 +371,7 @@ mod tests {
     #[test]
     fn oracle_recovery_after_parallel_pairwise_is_thread_invariant() {
         use crate::oracle::{NoisyOracle, NoisyOracleConfig, SpendLedger};
-        use crate::pairwise::apply_pairwise_oracle;
+        use crate::pairwise::apply_pairwise;
         // Recovery itself is sequential; the determinism claim is about
         // the whole noisy pipeline — parallel oracle pairwise feeding
         // recovery must produce identical clusters and spend at any
@@ -405,9 +399,18 @@ mod tests {
             let mut ledger = SpendLedger::new(cfg.budget);
             let mut st = Stats::default();
             let sink = TraceSink::disabled();
-            let (clusters, _) =
-                apply_pairwise_oracle(&d, &oracle, &ids, threads, 64, &mut ledger, &sink, &mut st);
-            let out = rule_recovery_oracle(&d, &oracle, &clusters, &mut ledger, &sink, &mut st);
+            let (clusters, _) = apply_pairwise(
+                &d,
+                &oracle,
+                &ids,
+                threads,
+                64,
+                Some(&mut ledger),
+                &sink,
+                &mut st,
+            );
+            let out =
+                rule_recovery_oracle(&d, &oracle, &clusters, Some(&mut ledger), &sink, &mut st);
             (out, st, ledger.into_spend())
         };
         let seq = run(1);

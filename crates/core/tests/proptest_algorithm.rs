@@ -3,7 +3,7 @@
 //! pairwise resolution.
 
 use adalsh_core::algorithm::{AdaLsh, AdaLshConfig, SelectionStrategy};
-use adalsh_core::pairwise::apply_pairwise;
+use adalsh_core::pairwise::apply_pairwise_scalar;
 use adalsh_core::stats::Stats;
 use adalsh_data::{
     Dataset, FieldDistance, FieldKind, FieldValue, MatchRule, Record, Schema, ShingleSet,
@@ -48,7 +48,7 @@ fn rule() -> MatchRule {
 fn exact_top_k(dataset: &Dataset, k: usize) -> Vec<u32> {
     let all: Vec<u32> = (0..dataset.len() as u32).collect();
     let mut st = Stats::default();
-    let mut clusters = apply_pairwise(dataset, &rule(), &all, 1, &mut st);
+    let mut clusters = apply_pairwise_scalar(dataset, &rule(), &all, &mut st);
     clusters.sort_by(|a, b| b.len().cmp(&a.len()).then_with(|| a[0].cmp(&b[0])));
     let mut out: Vec<u32> = clusters.into_iter().take(k).flatten().collect();
     out.sort_unstable();

@@ -7,7 +7,7 @@
 
 use adalsh_core::algorithm::{AdaLsh, AdaLshConfig};
 use adalsh_core::hashing::{HashPart, HashScratch, LevelScheme, RecordHashState, SequenceHasher};
-use adalsh_core::pairwise::apply_pairwise;
+use adalsh_core::pairwise::apply_pairwise_scalar;
 use adalsh_core::stats::Stats;
 use adalsh_core::transitive::apply_transitive_threaded;
 use adalsh_core::MinhashScheme;
@@ -159,7 +159,7 @@ fn doph_filter_matches_exact_on_planted_clusters() {
 
     let all: Vec<u32> = (0..d.len() as u32).collect();
     let mut st = Stats::default();
-    let mut exact = apply_pairwise(&d, &rule, &all, 1, &mut st);
+    let mut exact = apply_pairwise_scalar(&d, &rule, &all, &mut st);
     exact.sort_by(|a, b| b.len().cmp(&a.len()).then_with(|| a[0].cmp(&b[0])));
     for k in 1..=3 {
         let mut expected: Vec<u32> = exact.iter().take(k).flatten().copied().collect();

@@ -1,23 +1,29 @@
 //! Differential property tests for the block-wavefront `P`
-//! ([`apply_pairwise`]) against the scalar oracle
+//! ([`apply_pairwise`]) against the scalar reference
 //! ([`apply_pairwise_scalar`]): on arbitrary mixed shingle/dense
-//! datasets, every rule kind, any thread count, and any block size, the
-//! parallel path must produce **identical clusters and identical
+//! datasets, every rule kind, any thread count, any block size, both
+//! rule-exact oracles (the [`ExactOracle`] and a zero-noise, unbudgeted
+//! [`NoisyOracle`] settled through a ledger), and with tracing off or on,
+//! the wavefront must produce **identical clusters and identical
 //! `Stats`** — the bit-identity contract that lets figure pipelines run
 //! on all cores without perturbing the paper's counters.
 //!
-//! Because the oracle evaluates pairs through the plain
-//! `MatchRule::matches` kernels while the wavefront goes through the
-//! cached-norm / early-exit kernels (`matches_in`), these tests also pin
-//! the kernel fast paths to the naive evaluation.
+//! Because the reference evaluates pairs through the plain
+//! `MatchRule::matches` kernels while the oracles go through the
+//! cached-norm / early-exit kernels (`matches_in_counted`), these tests
+//! also pin the kernel fast paths to the naive evaluation.
 
-use adalsh_core::pairwise::{apply_pairwise_blocked, apply_pairwise_scalar};
+use std::sync::Arc;
+
+use adalsh_core::pairwise::{apply_pairwise, apply_pairwise_scalar};
 use adalsh_core::stats::Stats;
+use adalsh_core::{ExactOracle, NoisyOracle, NoisyOracleConfig, SpendLedger, TraceSink};
 use adalsh_data::rule::WeightedPart;
 use adalsh_data::{
     Dataset, DenseVector, FieldDistance, FieldKind, FieldValue, MatchRule, Record, Schema,
     ShingleSet,
 };
+use adalsh_obs::MemorySubscriber;
 use proptest::prelude::*;
 
 /// Datasets with one shingle field and one dense field. Entity `e` has a
@@ -107,11 +113,51 @@ fn normalized(mut clusters: Vec<Vec<u32>>) -> Vec<Vec<u32>> {
     clusters
 }
 
+/// Runs the wavefront once per oracle × sink cell, returning each cell's
+/// label, clusters, and `Stats`. The noisy cells settle through an
+/// unbudgeted ledger, which must record no degradation.
+fn wavefront_cells(
+    dataset: &Dataset,
+    rule: &MatchRule,
+    ids: &[u32],
+    threads: usize,
+    block: usize,
+) -> Vec<(String, Vec<Vec<u32>>, Stats)> {
+    let mut cells = Vec::new();
+    for noisy in [false, true] {
+        for traced in [false, true] {
+            let sink = if traced {
+                TraceSink::new(Arc::new(MemorySubscriber::default()))
+            } else {
+                TraceSink::disabled()
+            };
+            let mut st = Stats::default();
+            let clusters = if noisy {
+                let oracle = NoisyOracle::new(rule, NoisyOracleConfig::default());
+                let mut ledger = SpendLedger::new(None);
+                let ledger_ref = Some(&mut ledger);
+                let out = apply_pairwise(
+                    dataset, &oracle, ids, threads, block, ledger_ref, &sink, &mut st,
+                );
+                assert_eq!(ledger.spend().degraded, 0, "zero-noise oracle degraded");
+                out.0
+            } else {
+                let oracle = ExactOracle::new(rule);
+                apply_pairwise(dataset, &oracle, ids, threads, block, None, &sink, &mut st).0
+            };
+            let label = format!("noisy={noisy} traced={traced}");
+            cells.push((label, normalized(clusters), st));
+        }
+    }
+    cells
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     /// Wavefront `P` ≡ scalar `P`: identical clusters and identical
-    /// full `Stats` for every rule kind, thread count, and block size.
+    /// full `Stats` for every rule kind, thread count, block size,
+    /// oracle, and sink.
     #[test]
     fn wavefront_equals_scalar(
         dataset in mixed_dataset(),
@@ -125,18 +171,19 @@ proptest! {
         for rule in rules(dthr) {
             let mut st_scalar = Stats::default();
             let scalar = apply_pairwise_scalar(&dataset, &rule, &all, &mut st_scalar);
-            let mut st = Stats::default();
-            let wave = apply_pairwise_blocked(&dataset, &rule, &all, threads, block, &mut st);
-            prop_assert_eq!(
-                normalized(wave),
-                normalized(scalar),
-                "clusters diverge: rule={:?} threads={} block={}", rule, threads, block
-            );
-            prop_assert_eq!(
-                st,
-                st_scalar,
-                "stats diverge: rule={:?} threads={} block={}", rule, threads, block
-            );
+            let scalar = normalized(scalar);
+            for (cell, wave, st) in wavefront_cells(&dataset, &rule, &all, threads, block) {
+                prop_assert_eq!(
+                    &wave,
+                    &scalar,
+                    "clusters diverge: rule={:?} threads={} block={} {}", rule, threads, block, cell
+                );
+                prop_assert_eq!(
+                    st,
+                    st_scalar,
+                    "stats diverge: rule={:?} threads={} block={} {}", rule, threads, block, cell
+                );
+            }
         }
     }
 
@@ -157,9 +204,10 @@ proptest! {
         let rule = MatchRule::threshold(0, FieldDistance::Jaccard, 0.4);
         let mut st_scalar = Stats::default();
         let scalar = apply_pairwise_scalar(&dataset, &rule, &ids, &mut st_scalar);
-        let mut st = Stats::default();
-        let wave = apply_pairwise_blocked(&dataset, &rule, &ids, threads, block, &mut st);
-        prop_assert_eq!(normalized(wave), normalized(scalar));
-        prop_assert_eq!(st, st_scalar);
+        let scalar = normalized(scalar);
+        for (cell, wave, st) in wavefront_cells(&dataset, &rule, &ids, threads, block) {
+            prop_assert_eq!(&wave, &scalar, "{}", cell);
+            prop_assert_eq!(st, st_scalar, "{}", cell);
+        }
     }
 }

@@ -86,53 +86,16 @@ impl MatchRule {
     /// a memory-mapped file; `matches` remains the plain-record path
     /// (and the differential-test oracle).
     pub fn matches_in(&self, store: &dyn RecordStore, i: u32, j: u32) -> bool {
-        match self {
-            MatchRule::Threshold {
-                field,
-                metric,
-                dthr,
-            } => {
-                metric
-                    .distance_at_most_counted_ref(
-                        store.field(i, *field),
-                        store.field(j, *field),
-                        *dthr,
-                        store.field_norm(i, *field),
-                        store.field_norm(j, *field),
-                    )
-                    .0
-            }
-            // Same short-circuit order as `matches`.
-            MatchRule::And(subs) => subs.iter().all(|r| r.matches_in(store, i, j)),
-            MatchRule::Or(subs) => subs.iter().any(|r| r.matches_in(store, i, j)),
-            MatchRule::WeightedAverage { parts, dthr } => {
-                // Same iteration order and summation as `weighted_distance`
-                // (no early exit: a partial-sum cutoff could not reproduce
-                // the exact fold), only the norm lookups are cached.
-                let d: f64 = parts
-                    .iter()
-                    .map(|p| {
-                        p.weight
-                            * p.metric.eval_with_norms_ref(
-                                store.field(i, p.field),
-                                store.field(j, p.field),
-                                store.field_norm(i, p.field),
-                                store.field_norm(j, p.field),
-                            )
-                    })
-                    .sum();
-                d <= *dthr
-            }
-        }
+        self.matches_in_counted(store, i, j, &mut ExitCounts::default())
     }
 
     /// [`MatchRule::matches_in`] with an [`ExitCounts`] tally: every
     /// threshold-kernel invocation actually performed (respecting the
-    /// same AND/OR short-circuits) bumps `checks`, and those resolved on
-    /// an early-exit path bump `early_exits`. Weighted-average parts
-    /// always evaluate their exact distances (the fold admits no early
-    /// exit), so they count as checks that never exit early. The verdict
-    /// is bit-identical to `matches_in` for every input.
+    /// AND/OR short-circuits) bumps `checks`, and those resolved on an
+    /// early-exit path bump `early_exits`. Weighted-average parts always
+    /// evaluate their exact distances (the fold admits no early exit),
+    /// so they count as checks that never exit early. This is the one
+    /// rule walk: `matches_in` delegates here with a scratch tally.
     pub fn matches_in_counted(
         &self,
         store: &dyn RecordStore,
@@ -157,7 +120,7 @@ impl MatchRule {
                 counts.early_exits += u64::from(early);
                 verdict
             }
-            // Same short-circuit order as `matches_in`: skipped sub-rules
+            // Same short-circuit order as `matches`: skipped sub-rules
             // are not counted (their kernels never ran).
             MatchRule::And(subs) => subs
                 .iter()
@@ -167,6 +130,9 @@ impl MatchRule {
                 .any(|r| r.matches_in_counted(store, i, j, counts)),
             MatchRule::WeightedAverage { parts, dthr } => {
                 counts.checks += parts.len() as u64;
+                // Same iteration order and summation as `weighted_distance`
+                // (no early exit: a partial-sum cutoff could not reproduce
+                // the exact fold), only the norm lookups are cached.
                 let d: f64 = parts
                     .iter()
                     .map(|p| {
