@@ -33,7 +33,7 @@ use crate::oracle::{
 use crate::pairwise::{apply_pairwise, DEFAULT_PAIR_BLOCK};
 use crate::sequence::{design, SequenceSpec};
 use crate::stats::Stats;
-use crate::transitive::apply_transitive_threaded;
+use crate::transitive::apply_transitive;
 
 /// Which cluster to process next. Largest-First is the paper's (provably
 /// optimal) choice; the others exist for the optimality ablation.
@@ -417,7 +417,7 @@ impl AdaLsh {
         stats.modeled_cost += predicted;
         let before = stats;
         let round_start = sink.enabled().then(Instant::now);
-        let first = apply_transitive_threaded(
+        let first = apply_transitive(
             &self.hasher,
             states,
             store,
@@ -571,7 +571,7 @@ impl AdaLsh {
                 stats.modeled_cost += predicted;
                 let before = stats;
                 let round_start = sink.enabled().then(Instant::now);
-                let subs = apply_transitive_threaded(
+                let subs = apply_transitive(
                     &self.hasher,
                     states,
                     store,

@@ -18,6 +18,12 @@
 //! clusters — harmless for a conservative filter). Completed levels stay
 //! addressable ([`SequenceHasher::keys`]) so a later run re-applying an
 //! earlier sequence function to an already-deep record is a free lookup.
+//!
+//! The batched advance routes every `(table, function)` task, once per
+//! hasher, to a **leaf** kernel call of a simple source (MinHash keys,
+//! DOPH slots, hyperplane runs) writing a run of the value buffer; a
+//! Definition-7 weighted part only picks the source per function, so its
+//! leaves scatter into the part's run.
 
 use adalsh_data::{FieldDistance, RecordFields};
 use adalsh_lsh::mix::{combine, derive_seed, splitmix64};
@@ -35,7 +41,7 @@ use crate::stats::Stats;
 pub struct HashScratch {
     /// Per-group value buffer, laid out in canonical task order.
     vals: Vec<u64>,
-    /// Staging buffer for weighted sub-part batches before scattering.
+    /// Staging buffer for a scattering leaf (a weighted sub-part's share).
     tmp: Vec<u64>,
     /// Per-part read cursors used by the fold.
     cursors: Vec<usize>,
@@ -343,9 +349,9 @@ impl RecordHashState {
 
 /// Precomputed work-list for advancing one level (`lvl−1 → lvl`): the
 /// `(table, function)` tasks of every group/part in the exact canonical
-/// order the scalar fold consumes them, plus per-task data (MinHash keys,
-/// hyperplane function runs, weighted sub-part partitions) derived once
-/// at construction instead of once per record.
+/// order the scalar fold consumes them, routed to leaf kernel calls
+/// (MinHash keys, DOPH slots, hyperplane runs) once at construction
+/// instead of once per record.
 #[derive(Debug)]
 struct LevelPlan {
     groups: Vec<GroupPlan>,
@@ -361,70 +367,57 @@ struct GroupPlan {
     /// `z_from..z_to` are fresh.
     z_from: u32,
     z_to: u32,
-    /// Total task count across `parts` (the group's buffer length).
+    /// Total task count across parts (the group's buffer length).
     total: usize,
-    /// Per part feeding this group, in part order.
-    parts: Vec<PartPlan>,
+    /// Per part feeding this group, in part order: `(w_from, w_to,
+    /// offset)`, where `offset` is the start of the part's values in the
+    /// group buffer. A part's values are ordered phase-A first (existing
+    /// tables `t < z_from`, new functions `w_from..w_to`), then phase-B
+    /// (fresh tables, functions `0..w_to`) — the canonical fold order of
+    /// the scalar path.
+    parts: Vec<(u32, u32, usize)>,
+    /// The kernel calls that fill the group buffer.
+    leaves: Vec<LeafPlan>,
 }
 
-/// One part's slice of a group plan. Tasks are ordered phase-A first
-/// (existing tables `t < z_from`, new functions `w_from..w_to`), then
-/// phase-B (fresh tables, functions `0..w_to`) — matching the canonical
-/// fold order of the scalar path.
+/// One kernel call of a group plan: a simple source (a part, or one
+/// choice of a Definition-7 weighted part) evaluating a batch of tasks.
 #[derive(Debug)]
-struct PartPlan {
+struct LeafPlan {
     /// Index into `SequenceHasher::parts`.
     part: usize,
-    w_from: u32,
-    w_to: u32,
-    /// Start of this part's values in the group buffer.
-    offset: usize,
-    /// Number of tasks (= values produced).
-    count: usize,
-    kind: PartPlanKind,
+    /// The weighted part's sub-part this leaf evaluates, if any.
+    choice: Option<usize>,
+    kernel: LeafKernel,
+    dest: Dest,
 }
 
+/// The per-task data of one leaf, in task order.
 #[derive(Debug)]
-enum PartPlanKind {
+enum LeafKernel {
     /// Classic MinHash: per-task keys (`derive_seed(family_seed,
     /// t·STRIDE + j)`) cached so record hashing never re-derives them.
-    Shingles { keys: Vec<u64> },
-    /// DOPH MinHash: this level's tasks as dense indices into the part's
-    /// whole-sequence slot array (`t·w_max + j`, in canonical task
-    /// order) — the level requests a slot range of the one-pass array
-    /// instead of per-function evaluations.
-    DophSlots { slots: Vec<usize> },
-    /// Hyperplanes: one `(table, ascending function list)` run per table,
-    /// in task order.
-    Dense { runs: Vec<(u32, Vec<usize>)> },
-    /// Weighted selection: tasks partitioned by the selected sub-part,
-    /// each remembering its position in the part's value slice so the
-    /// fold order is preserved.
-    Weighted { choices: Vec<ChoicePlan> },
+    MinHash { keys: Vec<u64> },
+    /// DOPH MinHash: tasks as dense indices into the source's
+    /// whole-sequence slot array (`t·w_max + j`) — the level reads slots
+    /// of the one-pass array instead of evaluating functions.
+    Doph { slots: Vec<usize> },
+    /// Hyperplanes: one `(table, ascending function list)` run per table.
+    Hyperplane { runs: Vec<(u32, Vec<usize>)> },
 }
 
-/// The tasks a weighted part routes to one of its sub-parts.
+/// Where a leaf's values land in the group buffer.
 #[derive(Debug)]
-struct ChoicePlan {
-    /// Index into the weighted part's `choices`.
-    choice: usize,
-    /// Positions within the part's value slice, ascending.
-    positions: Vec<usize>,
-    kind: ChoiceKind,
-}
-
-#[derive(Debug)]
-enum ChoiceKind {
-    /// Cached classic MinHash keys, aligned with `positions`.
-    Shingles { keys: Vec<u64> },
-    /// DOPH slot indices, aligned with `positions`.
-    DophSlots { slots: Vec<usize> },
-    /// Hyperplane runs, aligned with `positions` when flattened.
-    Dense { runs: Vec<(u32, Vec<usize>)> },
+enum Dest {
+    /// A simple part: one contiguous run starting at this offset.
+    Run(usize),
+    /// A weighted sub-part's share: these buffer positions, ascending
+    /// and aligned with the leaf's task order.
+    Scatter(Vec<usize>),
 }
 
 /// The canonical `(table, function)` task list for one part of one
-/// level transition: phase A then phase B (see [`PartPlan`]).
+/// level transition: phase A then phase B (see [`GroupPlan::parts`]).
 fn canonical_tasks(w_from: u32, w_to: u32, z_from: u32, z_to: u32) -> Vec<(u32, u32)> {
     let mut tasks =
         Vec::with_capacity((z_from * (w_to - w_from) + (z_to - z_from) * w_to) as usize);
@@ -441,36 +434,16 @@ fn canonical_tasks(w_from: u32, w_to: u32, z_from: u32, z_to: u32) -> Vec<(u32, 
     tasks
 }
 
-/// Groups a task list into per-table runs of ascending function indices.
-fn dense_runs(tasks: &[(u32, u32)]) -> Vec<(u32, Vec<usize>)> {
-    let mut runs: Vec<(u32, Vec<usize>)> = Vec::new();
-    for &(t, j) in tasks {
-        match runs.last_mut() {
-            Some((rt, js)) if *rt == t => js.push(j as usize),
-            _ => runs.push((t, vec![j as usize])),
-        }
-    }
-    runs
-}
-
-fn build_part_plan(
-    parts: &[HashPart],
-    part: usize,
-    w_from: u32,
-    w_to: u32,
-    z_from: u32,
-    z_to: u32,
-    offset: usize,
-) -> PartPlan {
-    let tasks = canonical_tasks(w_from, w_to, z_from, z_to);
-    let kind = match &parts[part] {
-        HashPart::Shingles { doph: Some(dp), .. } => PartPlanKind::DophSlots {
+/// The kernel call evaluating `tasks` on a simple source.
+fn leaf_kernel(source: &HashPart, tasks: &[(u32, u32)]) -> LeafKernel {
+    match source {
+        HashPart::Shingles { doph: Some(dp), .. } => LeafKernel::Doph {
             slots: tasks
                 .iter()
                 .map(|&(t, j)| (t * dp.w_max + j) as usize)
                 .collect(),
         },
-        HashPart::Shingles { family, .. } => PartPlanKind::Shingles {
+        HashPart::Shingles { family, .. } => LeafKernel::MinHash {
             keys: tasks
                 .iter()
                 .map(|&(t, j)| {
@@ -478,61 +451,73 @@ fn build_part_plan(
                 })
                 .collect(),
         },
-        HashPart::Dense { .. } => PartPlanKind::Dense {
-            runs: dense_runs(&tasks),
-        },
-        HashPart::Weighted { selection, choices } => {
-            let mut plans: Vec<ChoicePlan> = choices
-                .iter()
-                .enumerate()
-                .map(|(c, choice)| ChoicePlan {
-                    choice: c,
-                    positions: Vec::new(),
-                    kind: match choice {
-                        HashPart::Shingles { doph: Some(_), .. } => {
-                            ChoiceKind::DophSlots { slots: Vec::new() }
-                        }
-                        HashPart::Shingles { .. } => ChoiceKind::Shingles { keys: Vec::new() },
-                        HashPart::Dense { .. } => ChoiceKind::Dense { runs: Vec::new() },
-                        HashPart::Weighted { .. } => {
-                            unreachable!("Definition 7 selections are one level deep")
-                        }
-                    },
-                })
-                .collect();
-            for (pos, &(t, j)) in tasks.iter().enumerate() {
-                let idx = u64::from(t) * TABLE_STRIDE + u64::from(j);
-                let c = selection.field_for(idx as usize);
-                plans[c].positions.push(pos);
-                match (&mut plans[c].kind, &choices[c]) {
-                    (
-                        ChoiceKind::DophSlots { slots },
-                        HashPart::Shingles { doph: Some(dp), .. },
-                    ) => {
-                        slots.push((t * dp.w_max + j) as usize);
-                    }
-                    (ChoiceKind::Shingles { keys }, HashPart::Shingles { family, .. }) => {
-                        keys.push(family.key_for(idx as usize));
-                    }
-                    (ChoiceKind::Dense { runs }, HashPart::Dense { .. }) => match runs.last_mut() {
-                        Some((rt, js)) if *rt == t => js.push(j as usize),
-                        _ => runs.push((t, vec![j as usize])),
-                    },
-                    _ => unreachable!("choice plan kind matches sub-part kind"),
+        HashPart::Dense { .. } => {
+            let mut runs: Vec<(u32, Vec<usize>)> = Vec::new();
+            for &(t, j) in tasks {
+                match runs.last_mut() {
+                    Some((rt, js)) if *rt == t => js.push(j as usize),
+                    _ => runs.push((t, vec![j as usize])),
                 }
             }
-            plans.retain(|p| !p.positions.is_empty());
-            PartPlanKind::Weighted { choices: plans }
+            LeafKernel::Hyperplane { runs }
         }
-    };
-    PartPlan {
-        part,
-        w_from,
-        w_to,
-        offset,
-        count: tasks.len(),
-        kind,
+        HashPart::Weighted { .. } => unreachable!("Definition 7 selections are one level deep"),
     }
+}
+
+/// Plans one table group extending tables `0..z_from` and adding
+/// `z_from..z_to`, fed by `widths` = `(part, w_from, w_to)` in part
+/// order. A simple part becomes one leaf writing a run; a weighted part
+/// becomes one leaf per selected sub-part, scattering into the part's
+/// run so the fold order is preserved.
+fn group_plan(
+    parts: &[HashPart],
+    group: u32,
+    z_from: u32,
+    z_to: u32,
+    widths: impl IntoIterator<Item = (usize, u32, u32)>,
+) -> GroupPlan {
+    let mut plan = GroupPlan {
+        group,
+        z_from,
+        z_to,
+        total: 0,
+        parts: Vec::new(),
+        leaves: Vec::new(),
+    };
+    for (part, w_from, w_to) in widths {
+        let tasks = canonical_tasks(w_from, w_to, z_from, z_to);
+        let offset = plan.total;
+        if let HashPart::Weighted { selection, choices } = &parts[part] {
+            let mut routed: Vec<Vec<usize>> = vec![Vec::new(); choices.len()];
+            for (pos, &(t, j)) in tasks.iter().enumerate() {
+                let idx = u64::from(t) * TABLE_STRIDE + u64::from(j);
+                routed[selection.field_for(idx as usize)].push(pos);
+            }
+            for (c, positions) in routed.into_iter().enumerate() {
+                if positions.is_empty() {
+                    continue;
+                }
+                let sub: Vec<(u32, u32)> = positions.iter().map(|&pos| tasks[pos]).collect();
+                plan.leaves.push(LeafPlan {
+                    part,
+                    choice: Some(c),
+                    kernel: leaf_kernel(&choices[c], &sub),
+                    dest: Dest::Scatter(positions.iter().map(|&pos| offset + pos).collect()),
+                });
+            }
+        } else {
+            plan.leaves.push(LeafPlan {
+                part,
+                choice: None,
+                kernel: leaf_kernel(&parts[part], &tasks),
+                dest: Dest::Run(offset),
+            });
+        }
+        plan.parts.push((w_from, w_to, offset));
+        plan.total += tasks.len();
+    }
+    plan
 }
 
 /// Builds the per-level plans (one per `lvl−1 → lvl` transition; jumps
@@ -548,20 +533,11 @@ fn build_plans(parts: &[HashPart], levels: &[LevelScheme]) -> Vec<LevelPlan> {
                     Some(LevelScheme::Shared { ws, z }) => (ws.clone(), *z),
                     Some(LevelScheme::PerPart { .. }) => unreachable!("structure is uniform"),
                 };
-                let mut pps = Vec::with_capacity(ws.len());
-                let mut offset = 0usize;
-                for (p, &w_to) in ws.iter().enumerate() {
-                    let pp = build_part_plan(parts, p, ws_from[p], w_to, z_from, *z, offset);
-                    offset += pp.count;
-                    pps.push(pp);
-                }
-                vec![GroupPlan {
-                    group: 0,
-                    z_from,
-                    z_to: *z,
-                    total: offset,
-                    parts: pps,
-                }]
+                let widths = ws
+                    .iter()
+                    .enumerate()
+                    .map(|(p, &w_to)| (p, ws_from[p], w_to));
+                vec![group_plan(parts, 0, z_from, *z, widths)]
             }
             LevelScheme::PerPart { parts: tos } => tos
                 .iter()
@@ -572,14 +548,7 @@ fn build_plans(parts: &[HashPart], levels: &[LevelScheme]) -> Vec<LevelPlan> {
                         Some(LevelScheme::PerPart { parts }) => (parts[p].w, parts[p].z),
                         Some(LevelScheme::Shared { .. }) => unreachable!("structure is uniform"),
                     };
-                    let pp = build_part_plan(parts, p, w_from, s.w, z_from, s.z, 0);
-                    GroupPlan {
-                        group: p as u32,
-                        z_from,
-                        z_to: s.z,
-                        total: pp.count,
-                        parts: vec![pp],
-                    }
+                    group_plan(parts, p as u32, z_from, s.z, [(p, w_from, s.w)])
                 })
                 .collect(),
         };
@@ -705,11 +674,10 @@ impl SequenceHasher {
     /// for multi-part schemes.
     ///
     /// Evaluation is **batched**: each level dispatches one kernel call
-    /// per part ([`MinHashFamily::hash_batch_keys`] /
-    /// [`HyperplaneFamily::hash_batch`]) over the precomputed work-list,
-    /// then folds the values in the canonical order — states and
-    /// `Stats.hash_evals` are bit-identical to
-    /// [`SequenceHasher::advance_scalar`].
+    /// per leaf of its precomputed plan ([`MinHashFamily::hash_batch_keys`],
+    /// a DOPH slot read, or [`HyperplaneFamily::hash_batch`]), then folds
+    /// the values in the canonical order — states and `Stats.hash_evals`
+    /// are bit-identical to [`SequenceHasher::advance_scalar`].
     ///
     /// # Panics
     /// Panics if `to_level` is out of range.
@@ -776,25 +744,33 @@ impl SequenceHasher {
         for (g, gp) in plan.groups.iter().enumerate() {
             scratch.vals.clear();
             scratch.vals.resize(gp.total, 0);
-            for pp in &gp.parts {
-                let out = &mut scratch.vals[pp.offset..pp.offset + pp.count];
-                match &pp.kind {
-                    PartPlanKind::Shingles { keys } => {
-                        let HashPart::Shingles { field, .. } = &self.parts[pp.part] else {
-                            unreachable!("plan kind matches part kind")
-                        };
-                        let set = record.field_ref(*field).as_shingles();
-                        MinHashFamily::hash_batch_keys(keys, set, out);
+            for leaf in &gp.leaves {
+                let source = match (&self.parts[leaf.part], leaf.choice) {
+                    (HashPart::Weighted { choices, .. }, Some(c)) => &choices[c],
+                    (part, _) => part,
+                };
+                // A run's kernel writes the prefix of the buffer tail.
+                let out = match &leaf.dest {
+                    Dest::Run(offset) => &mut scratch.vals[*offset..],
+                    Dest::Scatter(positions) => {
+                        scratch.tmp.clear();
+                        scratch.tmp.resize(positions.len(), 0);
+                        &mut scratch.tmp[..]
                     }
-                    PartPlanKind::DophSlots { slots } => {
-                        let HashPart::Shingles {
+                };
+                match (&leaf.kernel, source) {
+                    (LeafKernel::MinHash { keys }, HashPart::Shingles { field, .. }) => {
+                        let set = record.field_ref(*field).as_shingles();
+                        MinHashFamily::hash_batch_keys(keys, set, &mut out[..keys.len()]);
+                    }
+                    (
+                        LeafKernel::Doph { slots },
+                        HashPart::Shingles {
                             field,
                             doph: Some(dp),
                             ..
-                        } = &self.parts[pp.part]
-                        else {
-                            unreachable!("plan kind matches part kind")
-                        };
+                        },
+                    ) => {
                         let set = record.field_ref(*field).as_shingles();
                         let all = doph_slot_values(
                             &mut scratch.doph_vals,
@@ -807,10 +783,7 @@ impl SequenceHasher {
                             *o = all[s];
                         }
                     }
-                    PartPlanKind::Dense { runs } => {
-                        let HashPart::Dense { field, tables, .. } = &self.parts[pp.part] else {
-                            unreachable!("plan kind matches part kind")
-                        };
+                    (LeafKernel::Hyperplane { runs }, HashPart::Dense { field, tables, .. }) => {
                         let v = record.field_ref(*field).as_dense();
                         let mut cur = 0usize;
                         for (t, js) in runs {
@@ -818,62 +791,11 @@ impl SequenceHasher {
                             cur += js.len();
                         }
                     }
-                    PartPlanKind::Weighted { choices: cplans } => {
-                        let HashPart::Weighted { choices, .. } = &self.parts[pp.part] else {
-                            unreachable!("plan kind matches part kind")
-                        };
-                        for cp in cplans {
-                            scratch.tmp.clear();
-                            scratch.tmp.resize(cp.positions.len(), 0);
-                            match (&cp.kind, &choices[cp.choice]) {
-                                (
-                                    ChoiceKind::Shingles { keys },
-                                    HashPart::Shingles { field, .. },
-                                ) => {
-                                    let set = record.field_ref(*field).as_shingles();
-                                    MinHashFamily::hash_batch_keys(keys, set, &mut scratch.tmp);
-                                }
-                                (
-                                    ChoiceKind::DophSlots { slots },
-                                    HashPart::Shingles {
-                                        field,
-                                        doph: Some(dp),
-                                        ..
-                                    },
-                                ) => {
-                                    let set = record.field_ref(*field).as_shingles();
-                                    let all = doph_slot_values(
-                                        &mut scratch.doph_vals,
-                                        &mut scratch.doph_valid,
-                                        dp.space,
-                                        &dp.family,
-                                        set,
-                                    );
-                                    for (o, &s) in scratch.tmp.iter_mut().zip(slots) {
-                                        *o = all[s];
-                                    }
-                                }
-                                (
-                                    ChoiceKind::Dense { runs },
-                                    HashPart::Dense { field, tables, .. },
-                                ) => {
-                                    let v = record.field_ref(*field).as_dense();
-                                    let mut cur = 0usize;
-                                    for (t, js) in runs {
-                                        tables[*t as usize].hash_batch(
-                                            js,
-                                            v,
-                                            &mut scratch.tmp[cur..cur + js.len()],
-                                        );
-                                        cur += js.len();
-                                    }
-                                }
-                                _ => unreachable!("choice plan kind matches sub-part kind"),
-                            }
-                            for (&pos, &val) in cp.positions.iter().zip(&scratch.tmp) {
-                                out[pos] = val;
-                            }
-                        }
+                    _ => unreachable!("leaf kernel matches its source"),
+                }
+                if let Dest::Scatter(positions) = &leaf.dest {
+                    for (&pos, &val) in positions.iter().zip(&scratch.tmp) {
+                        scratch.vals[pos] = val;
                     }
                 }
             }
@@ -886,30 +808,28 @@ impl SequenceHasher {
             let accs = &mut groups[g];
             debug_assert_eq!(accs.len(), gp.z_from as usize);
             scratch.cursors.clear();
-            scratch.cursors.extend(gp.parts.iter().map(|pp| pp.offset));
-            for t in 0..gp.z_from {
-                let mut acc = accs[t as usize];
-                for (pi, pp) in gp.parts.iter().enumerate() {
-                    let n = (pp.w_to - pp.w_from) as usize;
-                    let c = scratch.cursors[pi];
-                    for &v in &scratch.vals[c..c + n] {
+            scratch
+                .cursors
+                .extend(gp.parts.iter().map(|&(_, _, offset)| offset));
+            for t in 0..gp.z_to {
+                let fresh = t >= gp.z_from;
+                let mut acc = if fresh {
+                    splitmix64(u64::from(gp.group) << 32 | u64::from(t))
+                } else {
+                    accs[t as usize]
+                };
+                for (cursor, &(w_from, w_to, _)) in scratch.cursors.iter_mut().zip(&gp.parts) {
+                    let n = if fresh { w_to } else { w_to - w_from } as usize;
+                    for &v in &scratch.vals[*cursor..*cursor + n] {
                         acc = combine(acc, v);
                     }
-                    scratch.cursors[pi] = c + n;
+                    *cursor += n;
                 }
-                accs[t as usize] = acc;
-            }
-            for t in gp.z_from..gp.z_to {
-                let mut acc = splitmix64(u64::from(gp.group) << 32 | u64::from(t));
-                for (pi, pp) in gp.parts.iter().enumerate() {
-                    let n = pp.w_to as usize;
-                    let c = scratch.cursors[pi];
-                    for &v in &scratch.vals[c..c + n] {
-                        acc = combine(acc, v);
-                    }
-                    scratch.cursors[pi] = c + n;
+                if fresh {
+                    accs.push(acc);
+                } else {
+                    accs[t as usize] = acc;
                 }
-                accs.push(acc);
             }
         }
         state.level = to_level as u16;

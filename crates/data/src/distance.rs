@@ -13,7 +13,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::record::{FieldKind, FieldRef, FieldValue};
+use crate::record::{FieldKind, FieldRef};
 use crate::{shingle, vector};
 
 /// Tally of threshold-kernel invocations and how many of them resolved
@@ -55,21 +55,13 @@ impl FieldDistance {
         }
     }
 
-    /// Evaluates the distance between two field values.
-    ///
-    /// # Panics
-    /// Panics if either value's kind does not match the metric.
-    pub fn eval(self, a: &FieldValue, b: &FieldValue) -> f64 {
-        self.eval_ref(a.as_ref(), b.as_ref())
-    }
-
-    /// [`FieldDistance::eval`] over borrowed [`FieldRef`] payloads — the
-    /// canonical kernel entry point shared by the in-RAM and mapped-store
-    /// paths.
+    /// Evaluates the distance between two field payloads — the one
+    /// kernel entry point shared by the in-RAM and mapped-store paths
+    /// (pass [`crate::FieldValue::as_ref`] for owned values).
     ///
     /// # Panics
     /// Panics if either ref's kind does not match the metric.
-    pub fn eval_ref(self, a: FieldRef<'_>, b: FieldRef<'_>) -> f64 {
+    pub fn eval(self, a: FieldRef<'_>, b: FieldRef<'_>) -> f64 {
         match self {
             FieldDistance::Angular => {
                 let (a, b) = (a.as_dense(), b.as_dense());
@@ -80,23 +72,15 @@ impl FieldDistance {
     }
 
     /// [`FieldDistance::eval`] with caller-supplied vector norms
-    /// (`Dataset::field_norm`). For [`FieldDistance::Angular`] this skips
-    /// the two per-call norm recomputations; for
-    /// [`FieldDistance::Jaccard`] the norms are ignored. Bit-identical to
-    /// `eval` when the norms are the vectors' own.
-    ///
-    /// # Panics
-    /// Panics if either value's kind does not match the metric.
-    pub fn eval_with_norms(self, a: &FieldValue, b: &FieldValue, norm_a: f64, norm_b: f64) -> f64 {
-        self.eval_with_norms_ref(a.as_ref(), b.as_ref(), norm_a, norm_b)
-    }
-
-    /// [`FieldDistance::eval_with_norms`] over borrowed [`FieldRef`]
-    /// payloads.
+    /// ([`crate::RecordStore::field_norm`]). For
+    /// [`FieldDistance::Angular`] this skips the two per-call norm
+    /// recomputations; for [`FieldDistance::Jaccard`] the norms are
+    /// ignored. Bit-identical to `eval` when the norms are the vectors'
+    /// own.
     ///
     /// # Panics
     /// Panics if either ref's kind does not match the metric.
-    pub fn eval_with_norms_ref(
+    pub fn eval_with_norms(
         self,
         a: FieldRef<'_>,
         b: FieldRef<'_>,
@@ -114,53 +98,21 @@ impl FieldDistance {
     /// Threshold fast path: `eval(a, b) <= dthr`, decided with the
     /// cheapest safe kernel — cached norms plus a guarded cosine-space
     /// compare for the angular metric
-    /// ([`crate::DenseVector::angular_at_most_with_norms`]), the
-    /// size-ratio early exit plus galloping intersection for Jaccard
-    /// ([`crate::ShingleSet::jaccard_at_most`]). The verdict is
-    /// **bit-identical** to evaluating the full distance and comparing;
-    /// only the work to reach it shrinks. Cost accounting is unaffected:
-    /// callers charge per elementary distance regardless of early exits
-    /// (the paper's Definition 3 is conservative).
-    ///
-    /// # Panics
-    /// Panics if either value's kind does not match the metric.
-    pub fn distance_at_most(
-        self,
-        a: &FieldValue,
-        b: &FieldValue,
-        dthr: f64,
-        norm_a: f64,
-        norm_b: f64,
-    ) -> bool {
-        self.distance_at_most_counted(a, b, dthr, norm_a, norm_b).0
-    }
-
-    /// [`FieldDistance::distance_at_most`] reporting whether the verdict
-    /// was reached on an early-exit path: `(verdict, resolved_early)`.
-    /// The verdict is bit-identical either way; the flag feeds the
-    /// [`ExitCounts`] observability tally only.
-    ///
-    /// # Panics
-    /// Panics if either value's kind does not match the metric.
-    pub fn distance_at_most_counted(
-        self,
-        a: &FieldValue,
-        b: &FieldValue,
-        dthr: f64,
-        norm_a: f64,
-        norm_b: f64,
-    ) -> (bool, bool) {
-        self.distance_at_most_counted_ref(a.as_ref(), b.as_ref(), dthr, norm_a, norm_b)
-    }
-
-    /// [`FieldDistance::distance_at_most_counted`] over borrowed
-    /// [`FieldRef`] payloads — the kernel the pairwise verification loop
-    /// runs regardless of whether the records live in RAM or in a mapped
-    /// store file.
+    /// ([`vector::angular_at_most_with_norms_counted`]), the size-ratio
+    /// early exit plus galloping intersection for Jaccard
+    /// ([`shingle::jaccard_at_most_counted`]). Returns `(verdict,
+    /// resolved_early)`: the verdict is **bit-identical** to evaluating
+    /// the full distance and comparing, only the work to reach it
+    /// shrinks; the flag feeds the [`ExitCounts`] observability tally
+    /// only. Cost accounting is unaffected: callers charge per
+    /// elementary distance regardless of early exits (the paper's
+    /// Definition 3 is conservative). This is the kernel the pairwise
+    /// verification loop runs whether the records live in RAM or in a
+    /// mapped store file.
     ///
     /// # Panics
     /// Panics if either ref's kind does not match the metric.
-    pub fn distance_at_most_counted_ref(
+    pub fn distance_at_most_counted(
         self,
         a: FieldRef<'_>,
         b: FieldRef<'_>,
@@ -196,6 +148,7 @@ impl FieldDistance {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::record::FieldValue;
     use crate::shingle::ShingleSet;
     use crate::vector::DenseVector;
 
@@ -203,14 +156,14 @@ mod tests {
     fn angular_eval() {
         let a = FieldValue::Dense(DenseVector::new(vec![1.0, 0.0]));
         let b = FieldValue::Dense(DenseVector::new(vec![0.0, 1.0]));
-        assert!((FieldDistance::Angular.eval(&a, &b) - 0.5).abs() < 1e-12);
+        assert!((FieldDistance::Angular.eval(a.as_ref(), b.as_ref()) - 0.5).abs() < 1e-12);
     }
 
     #[test]
     fn jaccard_eval() {
         let a = FieldValue::Shingles(ShingleSet::new(vec![1, 2, 3, 4]));
         let b = FieldValue::Shingles(ShingleSet::new(vec![3, 4, 5]));
-        assert!((FieldDistance::Jaccard.eval(&a, &b) - 0.6).abs() < 1e-12);
+        assert!((FieldDistance::Jaccard.eval(a.as_ref(), b.as_ref()) - 0.6).abs() < 1e-12);
     }
 
     #[test]
@@ -230,9 +183,12 @@ mod tests {
             (sh(&[]), sh(&[7])),
         ];
         for (a, b) in &jacc_pairs {
+            let (a, b) = (a.as_ref(), b.as_ref());
             for t in [0.0, 0.3, 0.6, 1.0] {
                 assert_eq!(
-                    FieldDistance::Jaccard.distance_at_most(a, b, t, 0.0, 0.0),
+                    FieldDistance::Jaccard
+                        .distance_at_most_counted(a, b, t, 0.0, 0.0)
+                        .0,
                     FieldDistance::Jaccard.eval(a, b) <= t
                 );
             }
@@ -244,6 +200,7 @@ mod tests {
         ];
         for (a, b) in &dense_pairs {
             let (na, nb) = (a.as_dense().norm(), b.as_dense().norm());
+            let (a, b) = (a.as_ref(), b.as_ref());
             assert_eq!(
                 FieldDistance::Angular
                     .eval_with_norms(a, b, na, nb)
@@ -252,7 +209,9 @@ mod tests {
             );
             for t in [0.0, 0.4, 0.5, 1.0] {
                 assert_eq!(
-                    FieldDistance::Angular.distance_at_most(a, b, t, na, nb),
+                    FieldDistance::Angular
+                        .distance_at_most_counted(a, b, t, na, nb)
+                        .0,
                     FieldDistance::Angular.eval(a, b) <= t
                 );
             }
@@ -270,6 +229,6 @@ mod tests {
     fn kind_mismatch_panics() {
         let a = FieldValue::Shingles(ShingleSet::new(vec![1]));
         let b = FieldValue::Shingles(ShingleSet::new(vec![1]));
-        let _ = FieldDistance::Angular.eval(&a, &b);
+        let _ = FieldDistance::Angular.eval(a.as_ref(), b.as_ref());
     }
 }

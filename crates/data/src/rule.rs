@@ -67,7 +67,7 @@ impl MatchRule {
                 field,
                 metric,
                 dthr,
-            } => metric.eval(a.field(*field), b.field(*field)) <= *dthr,
+            } => metric.eval(a.field(*field).as_ref(), b.field(*field).as_ref()) <= *dthr,
             MatchRule::And(subs) => subs.iter().all(|r| r.matches(a, b)),
             MatchRule::Or(subs) => subs.iter().any(|r| r.matches(a, b)),
             MatchRule::WeightedAverage { parts, dthr } => weighted_distance(parts, a, b) <= *dthr,
@@ -80,7 +80,7 @@ impl MatchRule {
     /// records — same verdict for every input, bit for bit — but routed
     /// through the cached distance kernels: precomputed vector norms
     /// ([`RecordStore::field_norm`]) and the per-metric threshold fast
-    /// paths ([`FieldDistance::distance_at_most`]). This is the kernel
+    /// paths ([`FieldDistance::distance_at_most_counted`]). This is the kernel
     /// the quadratic pairwise verification loop hammers, and it runs
     /// identically whether the store is an in-RAM [`crate::Dataset`] or
     /// a memory-mapped file; `matches` remains the plain-record path
@@ -109,7 +109,7 @@ impl MatchRule {
                 metric,
                 dthr,
             } => {
-                let (verdict, early) = metric.distance_at_most_counted_ref(
+                let (verdict, early) = metric.distance_at_most_counted(
                     store.field(i, *field),
                     store.field(j, *field),
                     *dthr,
@@ -137,7 +137,7 @@ impl MatchRule {
                     .iter()
                     .map(|p| {
                         p.weight
-                            * p.metric.eval_with_norms_ref(
+                            * p.metric.eval_with_norms(
                                 store.field(i, p.field),
                                 store.field(j, p.field),
                                 store.field_norm(i, p.field),
@@ -207,7 +207,11 @@ impl MatchRule {
 pub fn weighted_distance(parts: &[WeightedPart], a: &Record, b: &Record) -> f64 {
     parts
         .iter()
-        .map(|p| p.weight * p.metric.eval(a.field(p.field), b.field(p.field)))
+        .map(|p| {
+            p.weight
+                * p.metric
+                    .eval(a.field(p.field).as_ref(), b.field(p.field).as_ref())
+        })
         .sum()
 }
 

@@ -113,31 +113,6 @@ impl ShingleSet {
     pub fn jaccard_distance(&self, other: &Self) -> f64 {
         jaccard_distance(&self.0, &other.0)
     }
-
-    /// Threshold check `jaccard_distance(other) <= dthr` with a size-ratio
-    /// early exit: the similarity is at most `min(|A|,|B|) / max(|A|,|B|)`
-    /// (the intersection is bounded by the smaller set, the union by the
-    /// larger), so when that bound already falls below the required
-    /// similarity the sets cannot match and the intersection is never
-    /// computed.
-    ///
-    /// The early exit is evaluated with the same rounding-monotone
-    /// operations (`/`, `1.0 −`, `<=`) as the exact path, so it fires only
-    /// when the exact comparison is guaranteed to fail: the result is
-    /// **bit-identical** to `jaccard_distance(other) <= dthr` for every
-    /// input, including empty sets and thresholds of exactly 0 or 1.
-    pub fn jaccard_at_most(&self, other: &Self, dthr: f64) -> bool {
-        self.jaccard_at_most_counted(other, dthr).0
-    }
-
-    /// [`ShingleSet::jaccard_at_most`] reporting whether the verdict was
-    /// reached without computing the exact distance: `(verdict,
-    /// resolved_early)`. The verdict is bit-identical to
-    /// `jaccard_distance(other) <= dthr` either way; the flag feeds the
-    /// kernel hit-rate observability counters only.
-    pub fn jaccard_at_most_counted(&self, other: &Self, dthr: f64) -> (bool, bool) {
-        jaccard_at_most_counted(&self.0, &other.0, dthr)
-    }
 }
 
 /// Slice form of [`ShingleSet::intersection_size`]: merge-vs-gallop
@@ -217,9 +192,21 @@ pub fn jaccard_distance(a: &[u64], b: &[u64]) -> f64 {
     1.0 - jaccard_similarity(a, b)
 }
 
-/// Slice form of [`ShingleSet::jaccard_at_most_counted`]; see
-/// [`ShingleSet::jaccard_at_most`] for the size-ratio early-exit safety
-/// argument.
+/// Threshold check `jaccard_distance(a, b) <= dthr` with a size-ratio
+/// early exit: the similarity is at most `min(|A|,|B|) / max(|A|,|B|)`
+/// (the intersection is bounded by the smaller set, the union by the
+/// larger), so when that bound already falls below the required
+/// similarity the sets cannot match and the intersection is never
+/// computed.
+///
+/// The early exit is evaluated with the same rounding-monotone
+/// operations (`/`, `1.0 −`, `<=`) as the exact path, so it fires only
+/// when the exact comparison is guaranteed to fail: the verdict is
+/// **bit-identical** to `jaccard_distance(a, b) <= dthr` for every
+/// input, including empty sets and thresholds of exactly 0 or 1.
+/// Returns `(verdict, resolved_early)`: whether the verdict was reached
+/// without the exact distance feeds the hit-rate observability counters
+/// only.
 pub fn jaccard_at_most_counted(a: &[u64], b: &[u64], dthr: f64) -> (bool, bool) {
     if a.is_empty() && b.is_empty() {
         // Distance defined as 0 for two empty sets.
@@ -410,7 +397,7 @@ mod tests {
             let b = ShingleSet::new((0..lb).map(|_| rng() % 64).collect());
             for &t in &thresholds {
                 assert_eq!(
-                    a.jaccard_at_most(&b, t),
+                    jaccard_at_most_counted(a.shingles(), b.shingles(), t).0,
                     a.jaccard_distance(&b) <= t,
                     "case {case} thr {t}"
                 );
@@ -423,15 +410,15 @@ mod tests {
         // |A| = 2, |B| = 40: similarity can be at most 0.05, so a 0.5
         // threshold (requiring similarity >= 0.5) must fail even though
         // A ⊂ B.
-        let a = ShingleSet::new(vec![0, 1]);
-        let b = ShingleSet::new((0..40).collect());
-        assert!(!a.jaccard_at_most(&b, 0.5));
-        assert!(a.jaccard_at_most(&b, 0.95));
+        let a: Vec<u64> = vec![0, 1];
+        let b: Vec<u64> = (0..40).collect();
+        assert_eq!(jaccard_at_most_counted(&a, &b, 0.5), (false, true));
+        assert!(jaccard_at_most_counted(&a, &b, 0.95).0);
         // Empty-set edge cases.
-        let e = ShingleSet::new(vec![]);
-        assert!(e.jaccard_at_most(&e.clone(), 0.0));
-        assert!(!e.jaccard_at_most(&a, 0.99));
-        assert!(e.jaccard_at_most(&a, 1.0));
+        let e: Vec<u64> = Vec::new();
+        assert!(jaccard_at_most_counted(&e, &e, 0.0).0);
+        assert!(!jaccard_at_most_counted(&e, &a, 0.99).0);
+        assert!(jaccard_at_most_counted(&e, &a, 1.0).0);
     }
 
     #[test]

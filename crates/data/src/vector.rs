@@ -74,63 +74,13 @@ impl DenseVector {
     /// no direction, and treating them as maximally distant would make a
     /// single empty histogram poison transitive closure.
     pub fn angle_degrees(&self, other: &Self) -> f64 {
-        self.angle_degrees_with_norms(other, self.norm(), other.norm())
-    }
-
-    /// [`DenseVector::angle_degrees`] with the two norms supplied by the
-    /// caller. The quadratic pairwise loop evaluates `O(n²)` angles over
-    /// `n` vectors; precomputing each vector's norm once (see
-    /// `Dataset::field_norm`) removes two of the three dot products per
-    /// pair. Passing `self.norm()` / `other.norm()` reproduces
-    /// [`DenseVector::angle_degrees`] bit-for-bit.
-    pub fn angle_degrees_with_norms(&self, other: &Self, self_norm: f64, other_norm: f64) -> f64 {
-        assert_eq!(self.dim(), other.dim(), "dimension mismatch");
-        angle_degrees_with_norms(&self.0, &other.0, self_norm, other_norm)
+        angle_degrees_with_norms(&self.0, &other.0, self.norm(), other.norm())
     }
 
     /// The normalized angular distance `θ / 180 ∈ [0, 1]` used everywhere
     /// in the paper for the cosine metric (Example 5).
     pub fn angular_distance(&self, other: &Self) -> f64 {
         self.angle_degrees(other) / 180.0
-    }
-
-    /// Threshold fast path: `angular_distance(other) <= dthr`, decided in
-    /// **cosine space** whenever that is safe. `acos` is monotone
-    /// decreasing, so `θ/180 ≤ dthr ⟺ cos θ ≥ cos(dthr·π)`; comparing
-    /// cosines skips the `acos` that otherwise runs on every pair of the
-    /// quadratic verification loop. Within a guard band of
-    /// [`COS_GUARD`] around the threshold cosine — where rounding of the
-    /// forward (`cos`) and inverse (`acos`, `to_degrees`, `/ 180`)
-    /// transforms could disagree — the exact kernel decides instead, so
-    /// the verdict is **bit-identical** to evaluating the distance and
-    /// comparing. The band is ~10⁵ wider than the few-ulp error of
-    /// either transform, and `acos`'s sensitivity near `cos = ±1` only
-    /// widens the true angle gap, never narrows it.
-    pub fn angular_at_most_with_norms(
-        &self,
-        other: &Self,
-        dthr: f64,
-        self_norm: f64,
-        other_norm: f64,
-    ) -> bool {
-        self.angular_at_most_with_norms_counted(other, dthr, self_norm, other_norm)
-            .0
-    }
-
-    /// [`DenseVector::angular_at_most_with_norms`] reporting whether the
-    /// verdict was reached on the cosine-space fast path (no `acos`):
-    /// `(verdict, resolved_early)`. The verdict is bit-identical either
-    /// way; the flag feeds the kernel hit-rate observability counters
-    /// only.
-    pub fn angular_at_most_with_norms_counted(
-        &self,
-        other: &Self,
-        dthr: f64,
-        self_norm: f64,
-        other_norm: f64,
-    ) -> (bool, bool) {
-        assert_eq!(self.dim(), other.dim(), "dimension mismatch");
-        angular_at_most_with_norms_counted(&self.0, &other.0, dthr, self_norm, other_norm)
     }
 }
 
@@ -153,8 +103,12 @@ pub fn norm(v: &[f64]) -> f64 {
     dot_kernel(v, v).sqrt()
 }
 
-/// Slice form of [`DenseVector::angle_degrees_with_norms`]; see that
-/// method for the zero-vector convention.
+/// [`DenseVector::angle_degrees`] over raw slices with the two norms
+/// supplied by the caller (same zero-vector convention). The quadratic
+/// pairwise loop evaluates `O(n²)` angles over `n` vectors; precomputing
+/// each vector's norm once ([`crate::RecordStore::field_norm`]) removes
+/// two of the three dot products per pair. Passing [`norm`] of each
+/// slice reproduces [`DenseVector::angle_degrees`] bit-for-bit.
 pub fn angle_degrees_with_norms(a: &[f64], b: &[f64], norm_a: f64, norm_b: f64) -> f64 {
     assert_eq!(a.len(), b.len(), "dimension mismatch");
     let denom = norm_a * norm_b;
@@ -165,9 +119,22 @@ pub fn angle_degrees_with_norms(a: &[f64], b: &[f64], norm_a: f64, norm_b: f64) 
     cos.acos().to_degrees()
 }
 
-/// Slice form of [`DenseVector::angular_at_most_with_norms_counted`];
-/// see that method (and [`DenseVector::angular_at_most_with_norms`]) for
-/// the guard-band safety argument.
+/// Threshold fast path: `angle_degrees_with_norms(a, b, ..) / 180 <=
+/// dthr`, decided in **cosine space** whenever that is safe. `acos` is
+/// monotone decreasing, so `θ/180 ≤ dthr ⟺ cos θ ≥ cos(dthr·π)`;
+/// comparing cosines skips the `acos` that otherwise runs on every pair
+/// of the quadratic verification loop. Within a guard band of
+/// [`COS_GUARD`] around the threshold cosine — where rounding of the
+/// forward (`cos`) and inverse (`acos`, `to_degrees`, `/ 180`)
+/// transforms could disagree — the exact kernel decides instead, so the
+/// verdict is **bit-identical** to evaluating the distance and
+/// comparing. The band is ~10⁵ wider than the few-ulp error of either
+/// transform, and `acos`'s sensitivity near `cos = ±1` only widens the
+/// true angle gap, never narrows it.
+///
+/// Returns `(verdict, resolved_early)`: whether the verdict was reached
+/// without the exact `acos` kernel feeds the hit-rate observability
+/// counters only.
 pub fn angular_at_most_with_norms_counted(
     a: &[f64],
     b: &[f64],
@@ -219,8 +186,8 @@ fn dot_kernel(a: &[f64], b: &[f64]) -> f64 {
 }
 
 /// Guard-band half-width (in cosine units) inside which
-/// [`DenseVector::angular_at_most_with_norms`] falls back to the exact
-/// `acos` kernel. See that method for the safety argument.
+/// [`angular_at_most_with_norms_counted`] falls back to the exact `acos`
+/// kernel. See that function for the safety argument.
 pub const COS_GUARD: f64 = 1e-9;
 
 /// Converts a threshold expressed in degrees to the normalized distance
@@ -301,7 +268,8 @@ mod tests {
         for (a, b) in pairs {
             let (a, b) = (v(&a), v(&b));
             let direct = a.angle_degrees(&b);
-            let cached = a.angle_degrees_with_norms(&b, a.norm(), b.norm());
+            let cached =
+                angle_degrees_with_norms(a.components(), b.components(), a.norm(), b.norm());
             assert_eq!(direct.to_bits(), cached.to_bits());
         }
     }
@@ -336,7 +304,14 @@ mod tests {
                 ];
                 for t in thresholds {
                     assert_eq!(
-                        a.angular_at_most_with_norms(b, t, na, nb),
+                        angular_at_most_with_norms_counted(
+                            a.components(),
+                            b.components(),
+                            t,
+                            na,
+                            nb
+                        )
+                        .0,
                         exact <= t,
                         "a={a:?} b={b:?} t={t}"
                     );

@@ -391,6 +391,46 @@ impl SpanCollector {
             .last
             .take()
     }
+
+    /// Emits the engine-derived children of `parent` from the most
+    /// recently completed segment (consumed, as by
+    /// [`SpanCollector::take_last_segment`]): a `hash_rounds` span and a
+    /// `pairwise` span, both starting at the parent's start stamp, whose
+    /// durations are the segment's exact Σ `wall_micros` and whose
+    /// `segment` field links them to the events they summarize — so
+    /// [`crate::schema::validate`] reconciles them bit-for-bit. Emits
+    /// nothing when no segment completed since the last take.
+    pub fn emit_segment_spans(&self, spans: &Spans, parent: ActiveSpan, sink: &TraceSink) {
+        let Some(seg) = self.take_last_segment() else {
+            return;
+        };
+        let hash = spans.begin_at("hash_rounds", parent.id, parent.start_micros);
+        spans.record(
+            hash,
+            seg.hash_wall_micros,
+            &[
+                ("segment", Value::U64(seg.segment)),
+                ("hash_evals", Value::U64(seg.hash_evals)),
+            ],
+            sink,
+        );
+        let pairwise = spans.begin_at("pairwise", parent.id, parent.start_micros);
+        spans.record(
+            pairwise,
+            seg.pairwise_wall_micros,
+            &[
+                ("segment", Value::U64(seg.segment)),
+                ("pairs", Value::U64(seg.pairs)),
+                ("oracle_calls", Value::U64(seg.oracle_calls)),
+                ("oracle_spend", Value::U64(seg.oracle_spend)),
+                (
+                    "oracle_latency_micros",
+                    Value::U64(seg.oracle_latency_micros),
+                ),
+            ],
+            sink,
+        );
+    }
 }
 
 impl Subscriber for SpanCollector {
@@ -572,6 +612,44 @@ mod tests {
         sink.emit("run_start", &[]);
         sink.emit("run_end", &[]);
         assert_eq!(collector.take_last_segment().unwrap().segment, 2);
+    }
+
+    #[test]
+    fn segment_spans_hang_off_the_parent_with_exact_sums() {
+        let collector = Arc::new(SpanCollector::new());
+        let memory = Arc::new(MemorySubscriber::new());
+        let sink = TraceSink::new(collector.clone()).with(memory.clone());
+        let spans = Spans::new(8, 0);
+        let parent = spans.begin("resolve", 0);
+        collector.emit_segment_spans(&spans, parent, &sink);
+        assert!(spans.recent().is_empty(), "no segment, no children");
+
+        sink.emit("run_start", &[]);
+        sink.emit(
+            "hash_round",
+            &[
+                ("wall_micros", Value::U64(10)),
+                ("hash_evals", Value::U64(4)),
+            ],
+        );
+        sink.emit(
+            "pairwise",
+            &[("wall_micros", Value::U64(7)), ("pairs", Value::U64(3))],
+        );
+        sink.emit("run_end", &[]);
+        collector.emit_segment_spans(&spans, parent, &sink);
+        let recent = spans.recent();
+        assert_eq!(recent.len(), 2);
+        for (op, duration) in [("hash_rounds", 10), ("pairwise", 7)] {
+            let child = recent.iter().find(|s| s.op == op).expect(op);
+            assert_eq!(child.parent, parent.id);
+            assert_eq!(child.start_micros, parent.start_micros);
+            assert_eq!(child.duration_micros, duration);
+            assert_eq!(child.fields[0], ("segment", OwnedValue::U64(1)));
+        }
+        let emitted = memory.events().iter().filter(|e| e.name == "span").count();
+        assert_eq!(emitted, 2, "children ride the trace sink");
+        assert_eq!(collector.take_last_segment(), None, "segment consumed");
     }
 
     #[test]

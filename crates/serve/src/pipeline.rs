@@ -640,46 +640,10 @@ fn drainer_loop(
                 metrics.hash_evals.add(output.stats.hash_evals);
                 metrics.pairwise_evals.add(output.stats.pair_comparisons);
                 if tracing {
-                    // Engine-derived children: durations are the exact
-                    // per-segment Σ wall_micros the collector folded, so
-                    // schema::validate reconciles them bit-for-bit with
-                    // the hash_round/pairwise events of that segment.
-                    if let Some(seg) = span_ctx
-                        .collector
-                        .as_ref()
-                        .and_then(|c| c.take_last_segment())
-                    {
-                        let hash = spans.begin_at(
-                            "hash_rounds",
-                            resolve_span.id,
-                            resolve_span.start_micros,
-                        );
-                        spans.record(
-                            hash,
-                            seg.hash_wall_micros,
-                            &[
-                                ("segment", Value::U64(seg.segment)),
-                                ("hash_evals", Value::U64(seg.hash_evals)),
-                            ],
-                            sink,
-                        );
-                        let pairwise =
-                            spans.begin_at("pairwise", resolve_span.id, resolve_span.start_micros);
-                        spans.record(
-                            pairwise,
-                            seg.pairwise_wall_micros,
-                            &[
-                                ("segment", Value::U64(seg.segment)),
-                                ("pairs", Value::U64(seg.pairs)),
-                                ("oracle_calls", Value::U64(seg.oracle_calls)),
-                                ("oracle_spend", Value::U64(seg.oracle_spend)),
-                                (
-                                    "oracle_latency_micros",
-                                    Value::U64(seg.oracle_latency_micros),
-                                ),
-                            ],
-                            sink,
-                        );
+                    // Engine-derived children, reconciled bit-for-bit
+                    // with the hash_round/pairwise events of their segment.
+                    if let Some(collector) = &span_ctx.collector {
+                        collector.emit_segment_spans(spans, resolve_span, sink);
                     }
                     let mut fields: Vec<(&'static str, Value<'static>)> =
                         vec![("records", Value::U64(batch_len as u64))];
