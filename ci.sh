@@ -148,6 +148,21 @@ serve_smoke() {
         { echo "/metrics missing publish-latency histogram" >&2; return 1; }
     rm -f "$scrape"
 
+    # Cross-epoch reuse: a second batch that touches none of the top
+    # clusters must publish an epoch whose resolve replayed the
+    # untouched clusters' ops from the resolver's memo.
+    body='{"records":[{"fields":[{"Shingles":[7,8,9,10]}]},{"fields":[{"Shingles":[7,8,9,11]}]}]}'
+    exec 3<>"/dev/tcp/$host/$port"
+    printf 'POST /ingest HTTP/1.1\r\nHost: smoke\r\nContent-Length: %s\r\n\r\n%s' \
+        "${#body}" "$body" >&3
+    grep -q '"visible_epoch":2' <&3 || { echo "second /ingest missing visible_epoch" >&2; return 1; }
+    exec 3<&- 3>&-
+    exec 3<>"/dev/tcp/$host/$port"
+    printf 'GET /topk?k=2&wait_epoch=2 HTTP/1.1\r\nHost: smoke\r\n\r\n' >&3
+    grep -Eq '"pairs_reused":[1-9]|"bucket_inserts_reused":[1-9]' <&3 ||
+        { echo "epoch-2 resolve replayed nothing from the memo" >&2; return 1; }
+    exec 3<&- 3>&-
+
     # Clean shutdown.
     kill "$pid"
     wait "$pid" 2>/dev/null || true

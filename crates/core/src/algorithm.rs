@@ -27,10 +27,11 @@ use rand::{Rng, SeedableRng};
 use crate::bins::BinIndex;
 use crate::cost::CostModel;
 use crate::hashing::{RecordHashState, SequenceHasher};
+use crate::memo::{MemoOp, ResolveMemo};
 use crate::oracle::{
     ExactOracle, NoisyOracle, OracleMode, OracleSpend, SpendLedger, VerdictOverlay,
 };
-use crate::pairwise::{apply_pairwise, DEFAULT_PAIR_BLOCK};
+use crate::pairwise::{apply_pairwise, PairwiseTrace, DEFAULT_PAIR_BLOCK};
 use crate::sequence::{design, SequenceSpec};
 use crate::stats::Stats;
 use crate::transitive::apply_transitive;
@@ -362,15 +363,19 @@ impl AdaLsh {
         on_final: impl FnMut(usize, &[u32]),
     ) -> FilterOutput {
         let mut states: Vec<RecordHashState> = vec![RecordHashState::default(); store.len()];
-        self.run_with_states(store, k, &mut states, on_final)
+        self.run_with_states(store, k, &mut states, None, on_final)
     }
 
     /// Like [`AdaLsh::run_incremental`], but with caller-owned per-record
-    /// hash states. States persist the raw hash work already spent on
-    /// each record (Property 4), so repeated runs over a growing dataset
-    /// — the online setting of §9 — only hash what is new. The caller
-    /// must keep `states[i]` paired with record `i` and never reuse
-    /// states across engines.
+    /// hash states and, optionally, a [`ResolveMemo`]. States persist the
+    /// raw hash work already spent on each record (Property 4), so
+    /// repeated runs over a growing dataset — the online setting of §9 —
+    /// only hash what is new. The memo persists op outputs: a transitive
+    /// call, or a `P` call under [`OracleMode::Exact`], whose input list
+    /// equals one of the memo's previous run is answered with that run's
+    /// output instead of being recomputed. The caller must keep
+    /// `states[i]` paired with record `i`, only ever append records, and
+    /// never share states or a memo across engines.
     ///
     /// # Panics
     /// Panics if `k == 0` or `states.len() != dataset.len()`.
@@ -379,6 +384,7 @@ impl AdaLsh {
         store: &dyn RecordStore,
         k: usize,
         states: &mut [RecordHashState],
+        mut memo: Option<&mut ResolveMemo>,
         mut on_final: impl FnMut(usize, &[u32]),
     ) -> FilterOutput {
         assert!(k >= 1, "k must be at least 1");
@@ -414,21 +420,15 @@ impl AdaLsh {
         // Line 1: apply H₁ to the whole dataset.
         let all: Vec<u32> = (0..n as u32).collect();
         let predicted = self.cost.hash_increment_cost(0, n);
-        stats.modeled_cost += predicted;
-        let before = stats;
-        let round_start = sink.enabled().then(Instant::now);
-        let first = apply_transitive(
-            &self.hasher,
-            states,
+        let first = self.hash_step(
             store,
+            states,
+            memo.as_deref_mut(),
             &all,
             1,
-            self.config.threads,
+            predicted,
             &mut stats,
         );
-        if let Some(t0) = round_start {
-            emit_hash_round(&sink, 1, n, &before, &stats, first.len(), t0, predicted);
-        }
         for c in first {
             push_cluster(&mut arena, &mut pool, c, ClusterLevel::Hashed(1));
         }
@@ -515,88 +515,33 @@ impl AdaLsh {
                 sink.emit("gate", &fields);
             }
             let (subs, level) = if use_pairwise {
-                let predicted = self.cost.pairwise_cost(size);
-                stats.modeled_cost += predicted;
-                let before = stats;
-                let round_start = sink.enabled().then(Instant::now);
-                let ledger = oracle_ledger.as_mut();
-                let (subs, ptrace) = match &self.config.oracle {
-                    OracleMode::Exact => apply_pairwise(
-                        store,
-                        &ExactOracle::new(&self.config.rule),
-                        &entry.records,
-                        self.config.threads,
-                        DEFAULT_PAIR_BLOCK,
-                        ledger,
-                        &sink,
-                        &mut stats,
-                    ),
-                    OracleMode::Noisy(ocfg) => apply_pairwise(
-                        store,
-                        &NoisyOracle::new(&self.config.rule, ocfg.clone())
-                            .with_overlay(self.config.oracle_overlay.clone()),
-                        &entry.records,
-                        self.config.threads,
-                        DEFAULT_PAIR_BLOCK,
-                        ledger,
-                        &sink,
-                        &mut stats,
-                    ),
-                };
-                if let Some(t0) = round_start {
-                    sink.emit(
-                        "pairwise",
-                        &[
-                            ("cluster_size", Value::U64(size as u64)),
-                            (
-                                "pairs",
-                                Value::U64(stats.pair_comparisons - before.pair_comparisons),
-                            ),
-                            (
-                                "distance_evals",
-                                Value::U64(stats.distance_evals - before.distance_evals),
-                            ),
-                            ("kernel_checks", Value::U64(ptrace.kernel_checks)),
-                            ("early_exits", Value::U64(ptrace.early_exits)),
-                            ("blocks", Value::U64(ptrace.blocks)),
-                            ("subclusters", Value::U64(subs.len() as u64)),
-                            ("wall_micros", Value::U64(t0.elapsed().as_micros() as u64)),
-                            ("predicted_cost", Value::F64(predicted)),
-                        ],
-                    );
-                }
+                let subs = self.pairwise_step(
+                    store,
+                    memo.as_deref_mut(),
+                    oracle_ledger.as_mut(),
+                    &entry.records,
+                    &mut stats,
+                );
                 (subs, ClusterLevel::Pairwise)
             } else {
                 let predicted = self.cost.hash_increment_cost(t, size);
-                stats.modeled_cost += predicted;
-                let before = stats;
-                let round_start = sink.enabled().then(Instant::now);
-                let subs = apply_transitive(
-                    &self.hasher,
-                    states,
+                let subs = self.hash_step(
                     store,
+                    states,
+                    memo.as_deref_mut(),
                     &entry.records,
                     t + 1,
-                    self.config.threads,
+                    predicted,
                     &mut stats,
                 );
-                if let Some(t0) = round_start {
-                    emit_hash_round(
-                        &sink,
-                        t + 1,
-                        size,
-                        &before,
-                        &stats,
-                        subs.len(),
-                        t0,
-                        predicted,
-                    );
-                }
                 (subs, ClusterLevel::Hashed(t as u16 + 1))
             };
             for c in subs {
                 push_cluster(&mut arena, &mut pool, c, level);
             }
+        }
+        if let Some(memo) = memo {
+            memo.finish_pass();
         }
 
         // Canonicalize: records ascending within each cluster, clusters by
@@ -624,6 +569,11 @@ impl AdaLsh {
                 ("transitive_calls", Value::U64(stats.transitive_calls)),
                 ("pairwise_calls", Value::U64(stats.pairwise_calls)),
                 ("modeled_cost", Value::F64(stats.modeled_cost)),
+                (
+                    "bucket_inserts_reused",
+                    Value::U64(stats.bucket_inserts_reused),
+                ),
+                ("pairs_reused", Value::U64(stats.pairs_reused)),
                 ("wall_micros", Value::U64(wall.as_micros() as u64)),
             ];
             if let Some(ledger) = &oracle_ledger {
@@ -651,43 +601,159 @@ impl AdaLsh {
             oracle: oracle_ledger.map(SpendLedger::into_spend),
         }
     }
+
+    /// One transitive call: applies `H_level` to `records` (or replays it
+    /// from `memo`), charges `predicted` to the modeled cost, and emits
+    /// its `hash_round` event.
+    #[allow(clippy::too_many_arguments)]
+    fn hash_step(
+        &self,
+        store: &dyn RecordStore,
+        states: &mut [RecordHashState],
+        memo: Option<&mut ResolveMemo>,
+        records: &[u32],
+        level: usize,
+        predicted: f64,
+        stats: &mut Stats,
+    ) -> Vec<Vec<u32>> {
+        stats.modeled_cost += predicted;
+        let before = *stats;
+        let round_start = self.config.trace.enabled().then(Instant::now);
+        let (subs, reused) = reuse_or_compute(memo, MemoOp::Level(level), records, || {
+            let subs = apply_transitive(
+                &self.hasher,
+                states,
+                store,
+                records,
+                level,
+                self.config.threads,
+                stats,
+            );
+            (subs, stats.bucket_inserts - before.bucket_inserts)
+        });
+        if let Some(keys) = reused {
+            stats.transitive_calls += 1;
+            stats.bucket_inserts_reused += keys;
+        }
+        if let Some(t0) = round_start {
+            self.config.trace.emit(
+                "hash_round",
+                &[
+                    ("level", Value::U64(level as u64)),
+                    ("cluster_size", Value::U64(records.len() as u64)),
+                    (
+                        "hash_evals",
+                        Value::U64(stats.hash_evals - before.hash_evals),
+                    ),
+                    // One insert per (record, emitted key) — the paper's
+                    // "keys emitted" notion; 0 on a replay.
+                    (
+                        "keys_emitted",
+                        Value::U64(stats.bucket_inserts - before.bucket_inserts),
+                    ),
+                    ("reused", Value::U64(u64::from(reused.is_some()))),
+                    ("keys_reused", Value::U64(reused.unwrap_or(0))),
+                    ("subclusters", Value::U64(subs.len() as u64)),
+                    ("wall_micros", Value::U64(t0.elapsed().as_micros() as u64)),
+                    ("predicted_cost", Value::F64(predicted)),
+                ],
+            );
+        }
+        subs
+    }
+
+    /// One pairwise call: applies `P` to `records` through the configured
+    /// oracle (or, under the exact oracle only, replays it from `memo`),
+    /// charges its predicted cost, and emits its `pairwise` event. The
+    /// noisy oracle is never replayed: its answers depend on the run's
+    /// spend ledger and the live verdict overlay, not on the list alone.
+    fn pairwise_step(
+        &self,
+        store: &dyn RecordStore,
+        memo: Option<&mut ResolveMemo>,
+        ledger: Option<&mut SpendLedger>,
+        records: &[u32],
+        stats: &mut Stats,
+    ) -> Vec<Vec<u32>> {
+        let size = records.len();
+        let predicted = self.cost.pairwise_cost(size);
+        stats.modeled_cost += predicted;
+        let before = *stats;
+        let sink = &self.config.trace;
+        let round_start = sink.enabled().then(Instant::now);
+        let mut ptrace = PairwiseTrace::default();
+        let memo = memo.filter(|_| matches!(self.config.oracle, OracleMode::Exact));
+        let (subs, reused) = reuse_or_compute(memo, MemoOp::Pairwise, records, || {
+            let (subs, t) = match &self.config.oracle {
+                OracleMode::Exact => apply_pairwise(
+                    store,
+                    &ExactOracle::new(&self.config.rule),
+                    records,
+                    self.config.threads,
+                    DEFAULT_PAIR_BLOCK,
+                    ledger,
+                    sink,
+                    stats,
+                ),
+                OracleMode::Noisy(ocfg) => apply_pairwise(
+                    store,
+                    &NoisyOracle::new(&self.config.rule, ocfg.clone())
+                        .with_overlay(self.config.oracle_overlay.clone()),
+                    records,
+                    self.config.threads,
+                    DEFAULT_PAIR_BLOCK,
+                    ledger,
+                    sink,
+                    stats,
+                ),
+            };
+            ptrace = t;
+            (subs, stats.pair_comparisons - before.pair_comparisons)
+        });
+        if let Some(pairs) = reused {
+            stats.pairwise_calls += 1;
+            stats.pairs_reused += pairs;
+        }
+        if let Some(t0) = round_start {
+            sink.emit(
+                "pairwise",
+                &[
+                    ("cluster_size", Value::U64(size as u64)),
+                    (
+                        "pairs",
+                        Value::U64(stats.pair_comparisons - before.pair_comparisons),
+                    ),
+                    (
+                        "distance_evals",
+                        Value::U64(stats.distance_evals - before.distance_evals),
+                    ),
+                    ("reused", Value::U64(u64::from(reused.is_some()))),
+                    ("pairs_reused", Value::U64(reused.unwrap_or(0))),
+                    ("kernel_checks", Value::U64(ptrace.kernel_checks)),
+                    ("early_exits", Value::U64(ptrace.early_exits)),
+                    ("blocks", Value::U64(ptrace.blocks)),
+                    ("subclusters", Value::U64(subs.len() as u64)),
+                    ("wall_micros", Value::U64(t0.elapsed().as_micros() as u64)),
+                    ("predicted_cost", Value::F64(predicted)),
+                ],
+            );
+        }
+        subs
+    }
 }
 
-/// Emits one `hash_round` event from the `Stats` delta of a transitive
-/// invocation. `keys_emitted` is the bucket-insert delta: one insert per
-/// (record, emitted key) — exactly the paper's "keys emitted" notion.
-#[allow(clippy::too_many_arguments)]
-fn emit_hash_round(
-    sink: &TraceSink,
-    level: usize,
-    cluster_size: usize,
-    before: &Stats,
-    after: &Stats,
-    subclusters: usize,
-    round_start: Instant,
-    predicted_cost: f64,
-) {
-    sink.emit(
-        "hash_round",
-        &[
-            ("level", Value::U64(level as u64)),
-            ("cluster_size", Value::U64(cluster_size as u64)),
-            (
-                "hash_evals",
-                Value::U64(after.hash_evals - before.hash_evals),
-            ),
-            (
-                "keys_emitted",
-                Value::U64(after.bucket_inserts - before.bucket_inserts),
-            ),
-            ("subclusters", Value::U64(subclusters as u64)),
-            (
-                "wall_micros",
-                Value::U64(round_start.elapsed().as_micros() as u64),
-            ),
-            ("predicted_cost", Value::F64(predicted_cost)),
-        ],
-    );
+/// The one reuse-or-compute step every op goes through: with a memo,
+/// [`ResolveMemo::reuse_or_compute`]; without one, `compute`.
+fn reuse_or_compute(
+    memo: Option<&mut ResolveMemo>,
+    op: MemoOp,
+    records: &[u32],
+    compute: impl FnOnce() -> (Vec<Vec<u32>>, u64),
+) -> (Vec<Vec<u32>>, Option<u64>) {
+    match memo {
+        Some(memo) => memo.reuse_or_compute(op, records, compute),
+        None => (compute().0, None),
+    }
 }
 
 fn push_cluster(

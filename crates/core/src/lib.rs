@@ -21,6 +21,7 @@
 //! * [`cost`] — cost model (Def. 3, App. E.2)
 //! * [`sequence`] — budget strategies and sequence design (§5)
 //! * [`algorithm`] — Algorithm 1, incremental mode, selection ablations (§4)
+//! * [`memo`] — cross-query reuse of op outputs for the online resolver (§9)
 //! * [`baselines`] — Pairs and LSH-X blocking baselines (§6.1.1, App. E.1)
 //! * [`metrics`] — accuracy/performance metrics (§6.2)
 //! * [`oracle`] — pluggable noisy/fault-injected pairwise adjudication
@@ -32,6 +33,7 @@ pub mod baselines;
 pub mod bins;
 pub mod cost;
 pub mod hashing;
+pub mod memo;
 pub mod metrics;
 pub mod online;
 pub mod oracle;
@@ -47,6 +49,7 @@ pub use adalsh_obs::TraceSink;
 pub use algorithm::{AdaLsh, AdaLshConfig, FilterOutput, SelectionStrategy};
 pub use baselines::{LshBlocking, Pairs};
 pub use cost::CostModel;
+pub use memo::ResolveMemo;
 pub use online::{OnlineAdaLsh, OnlineSnapshot};
 pub use oracle::{
     Adjudication, ExactOracle, NoisyOracle, NoisyOracleConfig, OracleMode, OracleSpend,

@@ -10,10 +10,21 @@
 //! record that reached level 3 while processing query `t` starts at
 //! level 3 in query `t + 1` — so successive queries pay hashing only for
 //! (a) new arrivals and (b) records pushed to deeper levels than before.
-//! Bucket insertion and cluster bookkeeping are re-done per query (the
-//! batch semantics of fresh tables per invocation are preserved exactly,
-//! so every answer equals what the batch algorithm would return on the
-//! same snapshot).
+//!
+//! Each query also reuses whole ops of the previous one through a
+//! [`ResolveMemo`]: a transitive call `H_i`, or an exact-oracle `P`
+//! call, whose input list (ids and order) equals one the previous query
+//! ran is answered with that query's stored output. New records take the
+//! highest ids and are inserted last, so every `H_1` component no new
+//! record touches keeps its exact list, and the whole chain of ops below
+//! it — bucket insertions and pairwise verification — is replayed, not
+//! redone. Only touched clusters are recomputed. Tables stay fresh per
+//! invocation (a replayed output *is* the fresh-table output), so every
+//! answer equals what the batch algorithm would return on the same
+//! snapshot, down to `Stats` call and round counts and the modeled cost;
+//! the work counters book replayed bucket inserts and pair comparisons
+//! as `bucket_inserts_reused` / `pairs_reused`. A noisy oracle's `P` is
+//! never replayed.
 //!
 //! The resolver maintains its snapshot [`Dataset`] **incrementally**:
 //! each [`OnlineAdaLsh::push`] appends one record (and its cached field
@@ -26,7 +37,9 @@
 //! [`OnlineAdaLsh::from_snapshot`] under the same configuration rebuilds
 //! an identical engine (sequence design and seeds are deterministic in
 //! the bootstrap data and config), so no hash value is ever recomputed
-//! for an already-hashed record.
+//! for an already-hashed record. The memo is not part of the snapshot: a
+//! restored resolver starts with an empty one, and its first query
+//! recomputes every op.
 
 use adalsh_data::{Dataset, Record, Schema};
 use adalsh_obs::{TraceSink, Value};
@@ -34,6 +47,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::algorithm::{AdaLsh, AdaLshConfig, FilterOutput};
 use crate::hashing::RecordHashState;
+use crate::memo::ResolveMemo;
 use crate::oracle::VerdictOverlay;
 
 /// Ground-truth label attached to records ingested online (their entity
@@ -49,6 +63,8 @@ pub struct OnlineAdaLsh {
     /// Current snapshot, grown in place on every push.
     dataset: Dataset,
     states: Vec<RecordHashState>,
+    /// Op outputs of the previous query, replayed on identical inputs.
+    memo: ResolveMemo,
     /// The last [`OnlineAdaLsh::query_cached`] answer, keyed by the
     /// record count and `k` it was computed at. Records are append-only,
     /// so an unchanged count means an unchanged corpus.
@@ -105,6 +121,7 @@ impl OnlineAdaLsh {
             bootstrap_len: bootstrap.len(),
             dataset: bootstrap.clone(),
             states: vec![RecordHashState::default(); bootstrap.len()],
+            memo: ResolveMemo::default(),
             resolve_cache: None,
         })
     }
@@ -172,10 +189,13 @@ impl OnlineAdaLsh {
     }
 
     /// Answers a top-`k` query over everything ingested so far. Hashing
-    /// work persists across queries; the answer is identical to running
-    /// the batch algorithm on the current snapshot. The snapshot dataset
-    /// is borrowed, not rebuilt — a steady-state query does no per-record
-    /// copying.
+    /// work persists across queries, and every transitive or exact `P`
+    /// call whose input list the previous query already processed is
+    /// replayed from the memo (its saved work shows in
+    /// `stats.bucket_inserts_reused` / `stats.pairs_reused`). The answer
+    /// is identical to running the batch algorithm on the current
+    /// snapshot. The snapshot dataset is borrowed, not rebuilt — a
+    /// steady-state query does no per-record copying.
     pub fn query(&mut self, k: usize) -> FilterOutput {
         let sink = self.engine.trace().clone();
         // Per-record levels before the run: fresh records (level 0) have
@@ -184,9 +204,13 @@ impl OnlineAdaLsh {
         let pre_levels: Option<Vec<u16>> = sink
             .enabled()
             .then(|| self.states.iter().map(|s| s.level).collect());
-        let out = self
-            .engine
-            .run_with_states(&self.dataset, k, &mut self.states, |_, _| {});
+        let out = self.engine.run_with_states(
+            &self.dataset,
+            k,
+            &mut self.states,
+            Some(&mut self.memo),
+            |_, _| {},
+        );
         if let Some(before) = pre_levels {
             let fresh = before.iter().filter(|&&level| level == 0).count() as u64;
             let advanced = self
@@ -203,6 +227,11 @@ impl OnlineAdaLsh {
                     ("fresh_records", Value::U64(fresh)),
                     ("advanced_records", Value::U64(advanced)),
                     ("hash_evals", Value::U64(out.stats.hash_evals)),
+                    (
+                        "bucket_inserts_reused",
+                        Value::U64(out.stats.bucket_inserts_reused),
+                    ),
+                    ("pairs_reused", Value::U64(out.stats.pairs_reused)),
                     ("wall_micros", Value::U64(out.wall.as_micros() as u64)),
                 ],
             );
@@ -352,6 +381,7 @@ impl OnlineAdaLsh {
             bootstrap_len,
             dataset: Dataset::new(schema, records, labels),
             states,
+            memo: ResolveMemo::default(),
             resolve_cache: None,
         })
     }
@@ -532,6 +562,33 @@ mod tests {
         );
         let spend = revised.oracle.as_ref().expect("noisy run reports spend");
         assert!(spend.calls > 0, "re-resolve re-adjudicates pairs");
+    }
+
+    /// An arrival from a new entity touches no existing cluster, so the
+    /// next query replays every existing cluster's `P` from the memo —
+    /// and still answers exactly what a memo-less resolver does.
+    #[test]
+    fn untouched_clusters_are_replayed_not_reverified() {
+        let config = AdaLshConfig::new(rule());
+        let mut online = OnlineAdaLsh::new(&bootstrap(), config.clone()).unwrap();
+        let first = online.query(4);
+        assert!(first.stats.pair_comparisons > 0, "precondition: P runs");
+        assert_eq!(
+            (first.stats.bucket_inserts_reused, first.stats.pairs_reused),
+            (0, 0)
+        );
+        online.push(record(9, 0)).unwrap();
+        let mut reference = OnlineAdaLsh::from_snapshot(online.snapshot(), config).unwrap();
+        let want = reference.query(4);
+        let got = online.query(4);
+        assert_eq!(got.clusters, want.clusters);
+        assert_eq!(got.stats.pairs_reused, want.stats.pair_comparisons);
+        assert_eq!(got.stats.pair_comparisons, 0, "every P call replayed");
+        assert_eq!(got.stats.pairwise_calls, want.stats.pairwise_calls);
+        assert_eq!(
+            got.stats.modeled_cost.to_bits(),
+            want.stats.modeled_cost.to_bits()
+        );
     }
 
     #[test]

@@ -4,6 +4,11 @@
 //! hardware-independent cost ledger the experiments report alongside it:
 //! elementary hash evaluations (the unit of the paper's `costᵢ`) and
 //! elementary distance computations (the unit of `cost_P`).
+//!
+//! Every work counter counts work actually done. An online resolver that
+//! replays an op from its [`crate::memo::ResolveMemo`] still counts the
+//! call, the round, and the modeled cost, but books the op's bucket
+//! inserts or pair comparisons under the `*_reused` counters instead.
 
 use serde::{Deserialize, Serialize};
 
@@ -30,6 +35,14 @@ pub struct Stats {
     /// Modeled cost in the units of the paper's Definition 3, accumulated
     /// with the active [`crate::cost::CostModel`].
     pub modeled_cost: f64,
+    /// Bucket insertions of transitive calls replayed from the memo
+    /// instead of performed (0 outside the online resolver).
+    #[serde(default)]
+    pub bucket_inserts_reused: u64,
+    /// Pair comparisons of `P` calls replayed from the memo instead of
+    /// performed (0 outside the online resolver).
+    #[serde(default)]
+    pub pairs_reused: u64,
 }
 
 impl Stats {
@@ -43,6 +56,8 @@ impl Stats {
         self.pairwise_calls += other.pairwise_calls;
         self.rounds += other.rounds;
         self.modeled_cost += other.modeled_cost;
+        self.bucket_inserts_reused += other.bucket_inserts_reused;
+        self.pairs_reused += other.pairs_reused;
     }
 }
 
@@ -61,10 +76,14 @@ mod tests {
             pairwise_calls: 6,
             rounds: 7,
             modeled_cost: 1.5,
+            bucket_inserts_reused: 8,
+            pairs_reused: 9,
         };
         let b = a;
         a.merge(&b);
         assert_eq!(a.hash_evals, 2);
+        assert_eq!(a.bucket_inserts_reused, 16);
+        assert_eq!(a.pairs_reused, 18);
         assert_eq!(a.distance_evals, 4);
         assert_eq!(a.rounds, 14);
         assert!((a.modeled_cost - 3.0).abs() < 1e-12);

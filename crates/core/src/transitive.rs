@@ -23,6 +23,7 @@
 //! clusters and [`Stats`] are identical at every thread count.
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 use adalsh_data::{RecordStore, RecordView};
 use adalsh_lsh::mix::combine;
@@ -38,6 +39,30 @@ use crate::stats::Stats;
 /// for the classic scheme (every remaining slot is evaluated) and an
 /// upper bound for DOPH.
 const MIN_PARALLEL_EVALS: u64 = 1 << 15;
+
+/// A `HashMap` keyed by values that are already well mixed (bucket ids
+/// out of [`combine`], memo fingerprints): the key is its own hash, so
+/// lookups skip SipHash.
+pub(crate) type PrehashedMap<V> = HashMap<u64, V, BuildHasherDefault<Prehashed>>;
+
+/// Pass-through [`Hasher`] behind [`PrehashedMap`]: hashes a single
+/// `u64` to itself.
+#[derive(Default)]
+pub(crate) struct Prehashed(u64);
+
+impl Hasher for Prehashed {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, _bytes: &[u8]) {
+        unreachable!("PrehashedMap keys are u64");
+    }
+
+    fn write_u64(&mut self, key: u64) {
+        self.0 = key;
+    }
+}
 
 /// Applies sequence function `H_to_level` to `cluster` (record ids),
 /// advancing each record's incremental hash state as needed, and returns
@@ -176,7 +201,8 @@ pub fn apply_transitive(
     // Phase 2: bucket insertion and component maintenance (sequential).
     let mut forest = Forest::new(cluster.len());
     // Fresh tables for this invocation: bucket → last-added record slot.
-    let mut buckets: HashMap<u64, u32> = HashMap::with_capacity(cluster.len() * 2);
+    let mut buckets: PrehashedMap<u32> =
+        PrehashedMap::with_capacity_and_hasher(cluster.len() * 2, Default::default());
 
     for (slot, &rid) in cluster.iter().enumerate() {
         let slot = slot as u32;

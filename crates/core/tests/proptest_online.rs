@@ -1,9 +1,12 @@
 //! Property-based tests for the online mode: any interleaving of pushes
-//! and queries must agree with batch resolution on the same snapshot.
+//! and queries must agree with batch resolution on the same snapshot,
+//! and replaying ops from the resolver's memo must be indistinguishable
+//! from recomputing them.
 
-use adalsh_core::algorithm::{AdaLshConfig, FilterMethod};
+use adalsh_core::algorithm::{AdaLshConfig, FilterMethod, FilterOutput};
 use adalsh_core::baselines::Pairs;
 use adalsh_core::online::OnlineAdaLsh;
+use adalsh_core::{NoisyOracleConfig, OracleMode};
 use adalsh_data::{
     Dataset, FieldDistance, FieldKind, FieldValue, MatchRule, Record, Schema, ShingleSet,
 };
@@ -26,8 +29,76 @@ fn bootstrap() -> Dataset {
     Dataset::new(schema, records, gt)
 }
 
+/// Checks a query answered with the memo (`got`) against the same query
+/// answered by a resolver restored from a snapshot taken just before it
+/// (`want`: same states, empty memo, so every op is recomputed).
+fn assert_replay_matches_recompute(got: &FilterOutput, want: &FilterOutput) {
+    let (g, w) = (&got.stats, &want.stats);
+    assert_eq!(got.clusters, want.clusters, "clusters");
+    assert_eq!(g.rounds, w.rounds, "rounds");
+    assert_eq!(g.transitive_calls, w.transitive_calls, "transitive_calls");
+    assert_eq!(g.pairwise_calls, w.pairwise_calls, "pairwise_calls");
+    assert_eq!(g.hash_evals, w.hash_evals, "hash_evals");
+    assert_eq!(
+        g.modeled_cost.to_bits(),
+        w.modeled_cost.to_bits(),
+        "modeled_cost"
+    );
+    assert_eq!(
+        (w.bucket_inserts_reused, w.pairs_reused),
+        (0, 0),
+        "cold memo"
+    );
+    assert_eq!(
+        g.bucket_inserts + g.bucket_inserts_reused,
+        w.bucket_inserts,
+        "bucket inserts done + replayed"
+    );
+    assert_eq!(
+        g.pair_comparisons + g.pairs_reused,
+        w.pair_comparisons,
+        "pair comparisons done + replayed"
+    );
+    assert_eq!(got.oracle, want.oracle, "oracle spend");
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// A random push/query stream, under the exact oracle and under a
+    /// zero-noise noisy oracle, with the jump gate on or off and `k`
+    /// varying per query: before each query a resolver restored from
+    /// `snapshot()` answers the same query with an empty memo, and the
+    /// two answers must agree on everything but the split between work
+    /// done and work replayed. The noisy oracle's `P` is never replayed.
+    #[test]
+    fn memo_replay_equals_from_scratch_resolve(
+        stream in prop::collection::vec((0u64..6, any::<u64>(), 0usize..4), 1..30),
+        noisy in prop::bool::ANY,
+        disable_jump_gate in prop::bool::ANY,
+    ) {
+        let mut config = AdaLshConfig::new(rule());
+        config.disable_jump_gate = disable_jump_gate;
+        if noisy {
+            config.oracle = OracleMode::Noisy(NoisyOracleConfig::default());
+        }
+        let mut online = OnlineAdaLsh::new(&bootstrap(), config.clone()).unwrap();
+        for (entity, noise, k) in stream {
+            online.push(record(entity, noise)).unwrap();
+            // k == 0 means "push without querying".
+            if k == 0 {
+                continue;
+            }
+            let mut reference =
+                OnlineAdaLsh::from_snapshot(online.snapshot(), config.clone()).unwrap();
+            let want = reference.query(k);
+            let got = online.query(k);
+            assert_replay_matches_recompute(&got, &want);
+            if noisy {
+                prop_assert_eq!(got.stats.pairs_reused, 0);
+            }
+        }
+    }
 
     /// Push an arbitrary stream (entity ids 0..5) with interleaved
     /// queries; every query must equal Pairs on the snapshot.

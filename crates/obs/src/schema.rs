@@ -15,15 +15,23 @@
 //! |---|---|---|
 //! | `design_level` | sequence design picks level `H_i` | `level`, `budget` |
 //! | `run_start` | entering Algorithm 1 | `records`, `k`, `levels`, `threads`, `source` |
-//! | `hash_round` | after a transitive hashing call `H_level` | `level`, `cluster_size`, `hash_evals`, `keys_emitted`, `subclusters`, `wall_micros`, `predicted_cost` |
+//! | `hash_round` | after a transitive hashing call `H_level` | `level`, `cluster_size`, `hash_evals`, `keys_emitted`, `reused` (0\|1), `keys_reused`, `subclusters`, `wall_micros`, `predicted_cost` |
 //! | `gate` | Line-5 decision on a non-final cluster | `level`, `cluster_size`, `predicted_pairwise_cost`, `action` (`hash`\|`pairwise`), `forced` (0\|1), optional `predicted_hash_cost` (absent when forced: no `H_{t+1}` exists to price) |
-//! | `pairwise` | after a pairwise call `P` | `cluster_size`, `pairs`, `distance_evals`, `kernel_checks`, `early_exits`, `blocks`, `subclusters`, `wall_micros`, `predicted_cost` |
+//! | `pairwise` | after a pairwise call `P` | `cluster_size`, `pairs`, `distance_evals`, `reused` (0\|1), `pairs_reused`, `kernel_checks`, `early_exits`, `blocks`, `subclusters`, `wall_micros`, `predicted_cost` |
 //! | `pairwise_block` | after each wavefront block inside `P` | `pairs_open`, `pairs_charged`, `kernel_checks`, `early_exits`, `wall_micros` |
 //! | `final_cluster` | a cluster is declared final | `rank`, `size`, `origin` (`hashed`\|`pairwise`), `level` (0 when origin is `pairwise`) |
 //! | `oracle_call` | a pairwise-oracle adjudication is settled through the spend ledger | `attempts`, `retries`, `votes`, `timeouts`, `errors`, `spend`, `degraded` (0\|1), `matched` (0\|1), `latency_micros` (modeled) |
-//! | `run_end` | leaving Algorithm 1 | the full `Stats` mirror: `rounds`, `finals`, `hash_evals`, `distance_evals`, `pair_comparisons`, `bucket_inserts`, `transitive_calls`, `pairwise_calls`, `modeled_cost`, `wall_micros`; under a noisy oracle also the ledger mirror: `oracle_calls`, `oracle_attempts`, `oracle_retries`, `oracle_votes`, `oracle_timeouts`, `oracle_errors`, `oracle_degraded`, `oracle_spent` |
-//! | `online_query` | after an online resolver query | `k`, `records`, `fresh_records`, `advanced_records`, `hash_evals`, `wall_micros` |
+//! | `run_end` | leaving Algorithm 1 | the full `Stats` mirror: `rounds`, `finals`, `hash_evals`, `distance_evals`, `pair_comparisons`, `bucket_inserts`, `transitive_calls`, `pairwise_calls`, `modeled_cost`, `bucket_inserts_reused`, `pairs_reused`, `wall_micros`; under a noisy oracle also the ledger mirror: `oracle_calls`, `oracle_attempts`, `oracle_retries`, `oracle_votes`, `oracle_timeouts`, `oracle_errors`, `oracle_degraded`, `oracle_spent` |
+//! | `online_query` | after an online resolver query | `k`, `records`, `fresh_records`, `advanced_records`, `hash_evals`, `bucket_inserts_reused`, `pairs_reused`, `wall_micros` |
 //! | `span` | a span completes (see [`crate::span`]) | `span_id`, `parent_span_id` (0 = root), `op`, `start_micros`, `duration_micros`, plus optional typed attribution fields |
+//!
+//! A call the online resolver replays from its memo instead of computing
+//! still emits its `hash_round` / `pairwise` event, with `reused` 1: the
+//! work fields (`hash_evals`, `keys_emitted`, `pairs`, `distance_evals`,
+//! `kernel_checks`, `early_exits`, `blocks`) count work done and are 0,
+//! and `keys_reused` / `pairs_reused` carry the replayed call's bucket
+//! inserts / pair comparisons. Computed calls carry `reused` 0 and 0 in
+//! both `*_reused` fields.
 //!
 //! `oracle_call` is segment-free by scope: the rule-based recovery
 //! process adjudicates outside any engine run, so its calls appear
@@ -63,6 +71,8 @@
 //!
 //! * Σ `hash_round.hash_evals` = `hash_evals`
 //! * Σ `hash_round.keys_emitted` = `bucket_inserts`
+//! * Σ `hash_round.keys_reused` = `bucket_inserts_reused`
+//! * Σ `pairwise.pairs_reused` = `pairs_reused`
 //! * #`hash_round` = `transitive_calls`
 //! * #`pairwise` = `pairwise_calls`
 //! * Σ `pairwise.pairs` = `pair_comparisons`
@@ -153,6 +163,8 @@ pub const EVENTS: &[EventSpec] = &[
             ("cluster_size", FieldKind::U64),
             ("hash_evals", FieldKind::U64),
             ("keys_emitted", FieldKind::U64),
+            ("reused", FieldKind::U64),
+            ("keys_reused", FieldKind::U64),
             ("subclusters", FieldKind::U64),
             ("wall_micros", FieldKind::U64),
             ("predicted_cost", FieldKind::F64),
@@ -178,6 +190,8 @@ pub const EVENTS: &[EventSpec] = &[
             ("cluster_size", FieldKind::U64),
             ("pairs", FieldKind::U64),
             ("distance_evals", FieldKind::U64),
+            ("reused", FieldKind::U64),
+            ("pairs_reused", FieldKind::U64),
             ("kernel_checks", FieldKind::U64),
             ("early_exits", FieldKind::U64),
             ("blocks", FieldKind::U64),
@@ -239,6 +253,8 @@ pub const EVENTS: &[EventSpec] = &[
             ("transitive_calls", FieldKind::U64),
             ("pairwise_calls", FieldKind::U64),
             ("modeled_cost", FieldKind::F64),
+            ("bucket_inserts_reused", FieldKind::U64),
+            ("pairs_reused", FieldKind::U64),
             ("wall_micros", FieldKind::U64),
         ],
         optional: &[
@@ -261,6 +277,8 @@ pub const EVENTS: &[EventSpec] = &[
             ("fresh_records", FieldKind::U64),
             ("advanced_records", FieldKind::U64),
             ("hash_evals", FieldKind::U64),
+            ("bucket_inserts_reused", FieldKind::U64),
+            ("pairs_reused", FieldKind::U64),
             ("wall_micros", FieldKind::U64),
         ],
         optional: &[],
@@ -345,9 +363,11 @@ struct Segment {
     hash_evals: u64,
     hash_wall_micros: u64,
     keys_emitted: u64,
+    keys_reused: u64,
     pairwise_events: u64,
     pairwise_wall_micros: u64,
     pairs: u64,
+    pairs_reused: u64,
     distance_evals: u64,
     kernel_checks: u64,
     early_exits: u64,
@@ -513,6 +533,9 @@ fn check_enums(idx: usize, event: &OwnedEvent) -> Result<(), String> {
             ));
         }
     }
+    if matches!(event.name.as_str(), "hash_round" | "pairwise") {
+        check_reuse(idx, event)?;
+    }
     if event.name == "oracle_call" {
         for flag in ["degraded", "matched"] {
             if let Some(v) = event.u64(flag) {
@@ -532,6 +555,43 @@ fn check_enums(idx: usize, event: &OwnedEvent) -> Result<(), String> {
     Ok(())
 }
 
+/// A replayed call (`reused` 1) reports no work done; a computed one
+/// (`reused` 0) reports nothing replayed.
+fn check_reuse(idx: usize, event: &OwnedEvent) -> Result<(), String> {
+    let (replayed, work): (&str, &[&str]) = if event.name == "hash_round" {
+        ("keys_reused", &["hash_evals", "keys_emitted"])
+    } else {
+        (
+            "pairs_reused",
+            &[
+                "pairs",
+                "distance_evals",
+                "kernel_checks",
+                "early_exits",
+                "blocks",
+            ],
+        )
+    };
+    let u = |name: &str| event.u64(name).unwrap_or(0);
+    match u("reused") {
+        0 if u(replayed) != 0 => Err(format!(
+            "event {idx}: computed '{}' reports {replayed} {}",
+            event.name,
+            u(replayed)
+        )),
+        0 => Ok(()),
+        1 => match work.iter().find(|&&field| u(field) != 0) {
+            Some(field) => Err(format!(
+                "event {idx}: replayed '{}' reports {field} {}",
+                event.name,
+                u(field)
+            )),
+            None => Ok(()),
+        },
+        v => Err(format!("event {idx}: 'reused' must be 0 or 1, got {v}")),
+    }
+}
+
 fn accumulate(seg: &mut Segment, event: &OwnedEvent) {
     let u = |name: &str| event.u64(name).unwrap_or(0);
     match event.name.as_str() {
@@ -540,12 +600,14 @@ fn accumulate(seg: &mut Segment, event: &OwnedEvent) {
             seg.hash_evals += u("hash_evals");
             seg.hash_wall_micros += u("wall_micros");
             seg.keys_emitted += u("keys_emitted");
+            seg.keys_reused += u("keys_reused");
             seg.cost_fold += event.f64("predicted_cost").unwrap_or(0.0);
         }
         "pairwise" => {
             seg.pairwise_events += 1;
             seg.pairwise_wall_micros += u("wall_micros");
             seg.pairs += u("pairs");
+            seg.pairs_reused += u("pairs_reused");
             seg.distance_evals += u("distance_evals");
             seg.kernel_checks += u("kernel_checks");
             seg.early_exits += u("early_exits");
@@ -580,7 +642,7 @@ fn check_segment(run: usize, seg: &Segment, end: &OwnedEvent) -> Result<(), Stri
         end.u64(name)
             .ok_or_else(|| format!("run {run}: run_end missing '{name}'"))
     };
-    let identities: [(&str, u64, u64); 9] = [
+    let identities: [(&str, u64, u64); 11] = [
         (
             "Σ hash_round.hash_evals = hash_evals",
             seg.hash_evals,
@@ -590,6 +652,16 @@ fn check_segment(run: usize, seg: &Segment, end: &OwnedEvent) -> Result<(), Stri
             "Σ hash_round.keys_emitted = bucket_inserts",
             seg.keys_emitted,
             want("bucket_inserts")?,
+        ),
+        (
+            "Σ hash_round.keys_reused = bucket_inserts_reused",
+            seg.keys_reused,
+            want("bucket_inserts_reused")?,
+        ),
+        (
+            "Σ pairwise.pairs_reused = pairs_reused",
+            seg.pairs_reused,
+            want("pairs_reused")?,
         ),
         (
             "#hash_round = transitive_calls",
@@ -995,6 +1067,8 @@ mod tests {
                     ("cluster_size", u(3)),
                     ("hash_evals", u(24)),
                     ("keys_emitted", u(6)),
+                    ("reused", u(0)),
+                    ("keys_reused", u(0)),
                     ("subclusters", u(2)),
                     ("wall_micros", u(10)),
                     ("predicted_cost", f(1.5)),
@@ -1016,6 +1090,8 @@ mod tests {
                     ("cluster_size", u(2)),
                     ("pairs", u(1)),
                     ("distance_evals", u(1)),
+                    ("reused", u(0)),
+                    ("pairs_reused", u(0)),
                     ("kernel_checks", u(1)),
                     ("early_exits", u(0)),
                     ("blocks", u(1)),
@@ -1064,6 +1140,8 @@ mod tests {
                     ("transitive_calls", u(1)),
                     ("pairwise_calls", u(1)),
                     ("modeled_cost", f(2.0)),
+                    ("bucket_inserts_reused", u(0)),
+                    ("pairs_reused", u(0)),
                     ("wall_micros", u(20)),
                 ],
             ),
@@ -1075,6 +1153,8 @@ mod tests {
                     ("fresh_records", u(3)),
                     ("advanced_records", u(3)),
                     ("hash_evals", u(24)),
+                    ("bucket_inserts_reused", u(0)),
+                    ("pairs_reused", u(0)),
                     ("wall_micros", u(25)),
                 ],
             ),
@@ -1110,12 +1190,78 @@ mod tests {
             ("distance_evals", "distance_evals"),
             ("rounds", "rounds"),
             ("finals", "finals"),
+            ("bucket_inserts_reused", "keys_reused"),
+            ("pairs_reused", "pairs_reused"),
         ] {
             let mut t = valid_trace();
             set(&mut t, "run_end", field, u(999));
             let err = validate(&t).unwrap_err();
             assert!(err.contains(message), "field {field}: {err}");
         }
+    }
+
+    /// `valid_trace` with its hash round and pairwise call replayed from
+    /// the online memo: no work done, the saved work in `*_reused`.
+    fn replayed_trace() -> Vec<OwnedEvent> {
+        let mut t = valid_trace();
+        for (name, field, value) in [
+            ("hash_round", "hash_evals", 0),
+            ("hash_round", "keys_emitted", 0),
+            ("hash_round", "reused", 1),
+            ("hash_round", "keys_reused", 6),
+            ("pairwise", "pairs", 0),
+            ("pairwise", "distance_evals", 0),
+            ("pairwise", "reused", 1),
+            ("pairwise", "pairs_reused", 1),
+            ("pairwise", "kernel_checks", 0),
+            ("pairwise", "blocks", 0),
+            ("run_end", "hash_evals", 0),
+            ("run_end", "distance_evals", 0),
+            ("run_end", "pair_comparisons", 0),
+            ("run_end", "bucket_inserts", 0),
+            ("run_end", "bucket_inserts_reused", 6),
+            ("run_end", "pairs_reused", 1),
+        ] {
+            set(&mut t, name, field, u(value));
+        }
+        t.retain(|e| e.name != "pairwise_block");
+        t
+    }
+
+    #[test]
+    fn replayed_calls_reconcile_against_the_reuse_mirror() {
+        let t = replayed_trace();
+        assert_eq!(validate(&t).unwrap().runs, 1);
+        // The replayed counts are reconciled like the work counters.
+        let mut wrong = t.clone();
+        set(&mut wrong, "run_end", "pairs_reused", u(2));
+        assert!(validate(&wrong).unwrap_err().contains("pairs_reused"));
+    }
+
+    #[test]
+    fn reuse_flag_and_work_fields_must_agree() {
+        // A replayed call that claims work.
+        let mut t = replayed_trace();
+        set(&mut t, "hash_round", "hash_evals", u(5));
+        set(&mut t, "run_end", "hash_evals", u(5));
+        let err = validate(&t).unwrap_err();
+        assert!(err.contains("replayed 'hash_round'"), "{err}");
+        let mut t = replayed_trace();
+        set(&mut t, "pairwise", "blocks", u(1));
+        let err = validate(&t).unwrap_err();
+        assert!(err.contains("replayed 'pairwise'"), "{err}");
+        // A computed call that claims replayed work.
+        let mut t = valid_trace();
+        set(&mut t, "pairwise", "pairs_reused", u(1));
+        set(&mut t, "run_end", "pairs_reused", u(1));
+        let err = validate(&t).unwrap_err();
+        assert!(err.contains("computed 'pairwise'"), "{err}");
+        // The flag is 0 or 1.
+        let mut t = valid_trace();
+        set(&mut t, "hash_round", "reused", u(2));
+        assert!(validate(&t)
+            .unwrap_err()
+            .contains("'reused' must be 0 or 1"));
     }
 
     #[test]

@@ -4,7 +4,9 @@
 //! The table aggregates over every run segment in the trace (an online
 //! trace holds one segment per query): one row per sequence level
 //! `H_i`, one row for the pairwise function `P`, then the gate-decision
-//! and run-total footers. Rendering is read-only and schema-tolerant —
+//! and run-total footers (the totals include the work the online
+//! resolver replayed from its memo: `bucket_inserts_reused`,
+//! `pairs_reused`). Rendering is read-only and schema-tolerant —
 //! it sums whatever well-named events are present — so it works on
 //! traces [`crate::schema::validate`] would reject; validate first when
 //! integrity matters.
@@ -48,6 +50,8 @@ pub fn summarize(events: &[OwnedEvent]) -> String {
     let mut finals = 0u64;
     let mut wall_micros = 0u64;
     let mut modeled = 0.0f64;
+    let mut bucket_inserts_reused = 0u64;
+    let mut pairs_reused = 0u64;
     let mut queries = 0u64;
     let mut query_fresh = 0u64;
     let mut query_advanced = 0u64;
@@ -95,6 +99,8 @@ pub fn summarize(events: &[OwnedEvent]) -> String {
                 finals += u(event, "finals");
                 wall_micros += u(event, "wall_micros");
                 modeled += event.f64("modeled_cost").unwrap_or(0.0);
+                bucket_inserts_reused += u(event, "bucket_inserts_reused");
+                pairs_reused += u(event, "pairs_reused");
             }
             "online_query" => {
                 queries += 1;
@@ -190,7 +196,8 @@ pub fn summarize(events: &[OwnedEvent]) -> String {
         ));
     }
     out.push_str(&format!(
-        "totals: rounds={rounds} finals={finals} wall={} ms modeled_cost={modeled:.1}\n",
+        "totals: rounds={rounds} finals={finals} wall={} ms modeled_cost={modeled:.1} \
+         bucket_inserts_reused={bucket_inserts_reused} pairs_reused={pairs_reused}\n",
         ms(wall_micros)
     ));
     out
@@ -295,6 +302,8 @@ mod tests {
                     ("finals", u(1)),
                     ("wall_micros", u(2500)),
                     ("modeled_cost", OwnedValue::F64(15.5)),
+                    ("bucket_inserts_reused", u(70)),
+                    ("pairs_reused", u(21)),
                 ],
             ),
         ];
@@ -306,6 +315,10 @@ mod tests {
         assert!(table.contains("hash=0 pairwise=1"), "{table}");
         assert!(table.contains("rounds=3 finals=1"), "{table}");
         assert!(table.contains("modeled_cost=15.5"), "{table}");
+        assert!(
+            table.contains("bucket_inserts_reused=70 pairs_reused=21"),
+            "{table}"
+        );
     }
 
     #[test]

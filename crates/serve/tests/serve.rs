@@ -6,7 +6,8 @@
 //! 1. the answer served on `/topk` after an HTTP ingest burst (made
 //!    visible via the `wait_epoch` read-your-writes barrier) is
 //!    **bit-identical** to the batch `Pairs` oracle run on the same
-//!    record snapshot;
+//!    record snapshot — also for a later pass that replays untouched
+//!    clusters from the resolver's memo;
 //! 2. `POST /snapshot` → restart with resume → `/topk` returns the same
 //!    answer with **zero** additional hash evaluations for
 //!    already-hashed records;
@@ -261,6 +262,39 @@ fn ingest_then_topk_matches_batch_pairs_oracle() {
     assert!(
         metrics.contains("adalsh_engine_gate_decisions_total"),
         "{metrics}"
+    );
+
+    // A second batch from an entity nobody has seen touches no existing
+    // cluster: the pass that publishes it replays the untouched clusters'
+    // ops from the resolver's memo, and still serves exactly the batch
+    // oracle's answer on the grown snapshot.
+    let newcomer = vec![record(11, 0)];
+    let (status, body) = post(addr, "/ingest", &ingest_body(&newcomer));
+    assert_eq!(status, 200, "{body}");
+    assert_eq!(u64_field(&body, "visible_epoch"), 2);
+    let (status, body) = get(addr, "/topk?k=2&wait_epoch=2");
+    assert_eq!(status, 200, "{body}");
+    let stats = parse(&body).get("stats").unwrap().clone();
+    let reused = |field: &str| u64::from_value(stats.get(field).unwrap()).unwrap();
+    assert!(
+        reused("pairs_reused") + reused("bucket_inserts_reused") > 0,
+        "epoch 2 must replay untouched clusters: {body}"
+    );
+    let grown: Vec<Record> = oracle_dataset
+        .records()
+        .iter()
+        .cloned()
+        .chain(newcomer)
+        .collect();
+    let n = grown.len();
+    let gold = Pairs::new(rule()).filter(
+        &Dataset::new(Schema::single("s", FieldKind::Shingles), grown, vec![0; n]),
+        2,
+    );
+    assert_eq!(
+        clusters_of(&body),
+        gold.clusters,
+        "a replaying pass must serve the batch Pairs oracle's answer"
     );
 
     server.shutdown();
