@@ -53,6 +53,30 @@ echo "==> cargo doc --no-deps (warnings are errors)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --quiet
 
 echo "==> serve smoke"
+# Prints the address a `serve` run announces in its log, waiting up to
+# 10 s for the announcement.
+serve_addr() {
+    local log=$1 addr
+    for _ in $(seq 1 100); do
+        addr=$(sed -n 's#^listening on http://##p' "$log")
+        [ -n "$addr" ] && { echo "$addr"; return 0; }
+        sleep 0.1
+    done
+    echo "serve never announced its address" >&2
+    cat "$log" >&2
+    return 1
+}
+
+# Sends one HTTP/1.1 request over raw TCP and prints the response.
+http_request() {
+    local host=$1 port=$2 method=$3 path=$4 body=${5-}
+    exec 3<>"/dev/tcp/$host/$port"
+    printf '%s %s HTTP/1.1\r\nHost: smoke\r\nContent-Length: %s\r\n\r\n%s' \
+        "$method" "$path" "${#body}" "$body" >&3
+    cat <&3
+    exec 3<&- 3>&-
+}
+
 # Boot the service on an ephemeral port, hit /healthz and /topk over raw
 # TCP (bash /dev/tcp: no curl dependency), and shut it down.
 serve_smoke() {
@@ -64,13 +88,7 @@ serve_smoke() {
     ./target/release/adalsh serve "$data" --addr 127.0.0.1:0 >"$log" &
     pid=$!
     trap 'kill "$pid" 2>/dev/null || true' RETURN
-    # Wait for the bound-address announcement.
-    for _ in $(seq 1 100); do
-        addr=$(sed -n 's#^listening on http://##p' "$log")
-        [ -n "$addr" ] && break
-        sleep 0.1
-    done
-    [ -n "$addr" ] || { echo "serve never announced its address" >&2; cat "$log" >&2; return 1; }
+    addr=$(serve_addr "$log") || return 1
     local host=${addr%:*} port=${addr##*:}
 
     exec 3<>"/dev/tcp/$host/$port"
@@ -169,6 +187,45 @@ serve_smoke() {
     rm -f "$data" "$log"
 }
 serve_smoke
+
+# Noisy-oracle leg: POST /adjudicate lands a verdict in the overlay and
+# re-resolves through the pipeline's re-resolve command, which must
+# re-publish at the current epoch (1, after one ingest) rather than
+# start a new one.
+serve_noisy_smoke() {
+    local data log addr pid reply
+    data=$(mktemp /tmp/adalsh-serve-smoke-XXXXXX.jsonl)
+    log=$(mktemp /tmp/adalsh-serve-smoke-XXXXXX.log)
+    ./target/release/adalsh generate spotsigs --out "$data" \
+        --records 200 --entities 30 >/dev/null
+    ./target/release/adalsh serve "$data" --addr 127.0.0.1:0 --oracle noisy >"$log" &
+    pid=$!
+    trap 'kill "$pid" 2>/dev/null || true' RETURN
+    addr=$(serve_addr "$log") || return 1
+    local host=${addr%:*} port=${addr##*:}
+
+    # Replies are captured whole before grepping: `grep -q` in a pipe
+    # could exit early and fail the pipeline on a SIGPIPE.
+    reply=$(http_request "$host" "$port" POST /ingest \
+        '{"records":[{"fields":[{"Shingles":[1,2,3,4]}]}]}')
+    grep -q '"visible_epoch":1' <<<"$reply" ||
+        { echo "noisy /ingest missing visible_epoch: $reply" >&2; return 1; }
+    reply=$(http_request "$host" "$port" GET '/topk?k=2&wait_epoch=1')
+    grep -q '"epoch":1' <<<"$reply" ||
+        { echo "noisy read-your-writes barrier failed: $reply" >&2; return 1; }
+    reply=$(http_request "$host" "$port" POST /adjudicate \
+        '{"verdicts":[{"a":0,"b":1,"matched":false}]}')
+    grep -q '"overlay_version":1' <<<"$reply" && grep -q '"epoch":1' <<<"$reply" ||
+        { echo "/adjudicate did not re-publish at the current epoch: $reply" >&2; return 1; }
+    reply=$(http_request "$host" "$port" GET /adjudicate)
+    grep -q '"overlay_verdicts":1' <<<"$reply" ||
+        { echo "GET /adjudicate missing the posted verdict" >&2; return 1; }
+
+    kill "$pid"
+    wait "$pid" 2>/dev/null || true
+    rm -f "$data" "$log"
+}
+serve_noisy_smoke
 
 echo "==> trace smoke"
 # Run the adaptive filter with --trace-out and check the emitted JSONL

@@ -312,7 +312,7 @@ fn main() {
     println!("read speedup at 16 clients: {speedup_c16:.1}x");
 
     if smoke {
-        // Gate: concurrency must not collapse the lock-free read path.
+        // Gate: concurrency must not collapse the read path.
         // On a single-core box QPS saturates at one client already, so
         // c16 == c1 up to scheduler noise; a lock convoy would tank it
         // far below. 0.8x separates noise from collapse.
@@ -320,7 +320,7 @@ fn main() {
         if c16 < 0.8 * c1 {
             eprintln!(
                 "FAIL: pipelined 16-client QPS {c16:.0} < 0.8x 1-client QPS {c1:.0} — \
-                 the lock-free read path must not collapse under concurrency"
+                 the read path must not collapse under concurrency"
             );
             std::process::exit(1);
         }

@@ -65,7 +65,8 @@ SERVE:
   default 64 batches; 503 + Retry-After when full), a resolver thread
   drains up to --max-batch records per pass (default 2048), resolves top
   --resolve-k clusters (default 10), and publishes an immutable epoch
-  snapshot. GET /topk?k=N serves N <= resolve-k lock-free; add
+  snapshot. GET /topk?k=N serves N <= resolve-k from that snapshot
+  without waiting on a resolve pass; add
   &wait_epoch=<visible_epoch from /ingest> for read-your-writes.
 
 TRACING:

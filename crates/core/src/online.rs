@@ -65,21 +65,6 @@ pub struct OnlineAdaLsh {
     states: Vec<RecordHashState>,
     /// Op outputs of the previous query, replayed on identical inputs.
     memo: ResolveMemo,
-    /// The last [`OnlineAdaLsh::query_cached`] answer, keyed by the
-    /// record count and `k` it was computed at. Records are append-only,
-    /// so an unchanged count means an unchanged corpus.
-    resolve_cache: Option<ResolveCache>,
-}
-
-/// Cache entry for [`OnlineAdaLsh::query_cached`].
-struct ResolveCache {
-    records: usize,
-    k: usize,
-    /// Version of the external-verdict overlay at resolve time (0 when
-    /// no overlay is installed). A new verdict invalidates the cache
-    /// even though the corpus itself is unchanged.
-    overlay_version: u64,
-    output: FilterOutput,
 }
 
 /// The full serializable state of an [`OnlineAdaLsh`]: everything needed
@@ -122,7 +107,6 @@ impl OnlineAdaLsh {
             dataset: bootstrap.clone(),
             states: vec![RecordHashState::default(); bootstrap.len()],
             memo: ResolveMemo::default(),
-            resolve_cache: None,
         })
     }
 
@@ -196,6 +180,12 @@ impl OnlineAdaLsh {
     /// is identical to running the batch algorithm on the current
     /// snapshot. The snapshot dataset is borrowed, not rebuilt — a
     /// steady-state query does no per-record copying.
+    ///
+    /// This is the whole resolve step of a serving loop (`adalsh-serve`
+    /// calls it for the boot pass, every ingest pass, and every
+    /// re-resolve after new verdicts): a verdict posted to an installed
+    /// [`VerdictOverlay`] takes effect on the next call, because a noisy
+    /// oracle's `P` is never replayed.
     pub fn query(&mut self, k: usize) -> FilterOutput {
         let sink = self.engine.trace().clone();
         // Per-record levels before the run: fresh records (level 0) have
@@ -240,53 +230,13 @@ impl OnlineAdaLsh {
         out
     }
 
-    /// Like [`OnlineAdaLsh::query`], but answered from a one-entry cache
-    /// when nothing changed: if no record arrived since the last
-    /// `query_cached` at the same `k`, the previous [`FilterOutput`] is
-    /// cloned back without touching the engine at all — no bucket
-    /// re-insertion, no pairwise re-verification, no trace events. The
-    /// returned `stats` are those of the run that produced the answer
-    /// (a plain re-`query` would instead report `hash_evals == 0` for
-    /// the redundant pass it just performed).
-    ///
-    /// This is the resolve primitive for a serving loop that may
-    /// re-publish or snapshot an unchanged corpus.
-    pub fn query_cached(&mut self, k: usize) -> FilterOutput {
-        let overlay_version = self.overlay_version();
-        if let Some(cache) = &self.resolve_cache {
-            if cache.records == self.dataset.len()
-                && cache.k == k
-                && cache.overlay_version == overlay_version
-            {
-                return cache.output.clone();
-            }
-        }
-        let output = self.query(k);
-        self.resolve_cache = Some(ResolveCache {
-            records: self.dataset.len(),
-            k,
-            overlay_version,
-            output: output.clone(),
-        });
-        output
-    }
-
-    /// Current version of the installed verdict overlay (0 without one).
-    fn overlay_version(&self) -> u64 {
-        self.config
-            .oracle_overlay
-            .as_ref()
-            .map_or(0, |overlay| overlay.version())
-    }
-
     /// Installs (or replaces) the external-verdict overlay consulted by
     /// a noisy oracle — e.g. the store behind a serving layer's
-    /// `/adjudicate` endpoint. Any new verdict bumps the overlay version
-    /// and invalidates the resolve cache on the next `query_cached`.
+    /// `/adjudicate` endpoint. The next [`OnlineAdaLsh::query`] honours
+    /// every verdict posted so far.
     pub fn set_oracle_overlay(&mut self, overlay: Option<std::sync::Arc<VerdictOverlay>>) {
         self.config.oracle_overlay = overlay.clone();
         self.engine.set_oracle_overlay(overlay);
-        self.resolve_cache = None;
     }
 
     /// Installs (or replaces) the engine's trace sink — e.g. the serving
@@ -382,7 +332,6 @@ impl OnlineAdaLsh {
             dataset: Dataset::new(schema, records, labels),
             states,
             memo: ResolveMemo::default(),
-            resolve_cache: None,
         })
     }
 }
@@ -496,46 +445,12 @@ mod tests {
         );
     }
 
-    /// `query_cached` on an unchanged corpus must return the cached
-    /// answer verbatim — observable because the cached `stats` carry the
-    /// producing run's `hash_evals` (> 0 on a cold corpus), whereas an
-    /// actual re-run would report 0. New arrivals or a different `k`
-    /// invalidate the cache.
+    /// External verdicts change the answer at an unchanged corpus: once
+    /// the overlay overrules every match of one top-cluster member,
+    /// the next `query` splits that member off, re-adjudicating pairs
+    /// without re-hashing anything.
     #[test]
-    fn query_cached_skips_redundant_resolves() {
-        let boot = bootstrap();
-        let mut online = OnlineAdaLsh::new(&boot, AdaLshConfig::new(rule())).unwrap();
-        let first = online.query_cached(2);
-        assert!(first.stats.hash_evals > 0, "cold resolve must hash");
-        let second = online.query_cached(2);
-        assert_eq!(second.clusters, first.clusters);
-        assert_eq!(
-            second.stats, first.stats,
-            "unchanged corpus must be served from the cache (a re-run \
-             would report hash_evals == 0)"
-        );
-        // A different k is a different answer shape: cache miss.
-        let other_k = online.query_cached(1);
-        assert_eq!(other_k.clusters.len(), 1);
-        // A new arrival invalidates the cache; only the arrival is hashed.
-        online.push(record(0, 77)).unwrap();
-        let grown = online.query_cached(2);
-        assert!(
-            grown.stats.hash_evals > 0 && grown.stats.hash_evals < first.stats.hash_evals,
-            "cache miss after push resolves incrementally (got {} vs cold {})",
-            grown.stats.hash_evals,
-            first.stats.hash_evals
-        );
-        // And the cached answer equals a fresh uncached query.
-        let recheck = online.query(2);
-        assert_eq!(recheck.clusters, grown.clusters);
-    }
-
-    /// A new external verdict bumps the overlay version, so the resolve
-    /// cache must miss even though the corpus itself is unchanged — and
-    /// the re-resolve must honor the overlay verdict.
-    #[test]
-    fn overlay_verdicts_invalidate_the_resolve_cache() {
+    fn overlay_verdicts_change_the_answer_at_an_unchanged_corpus() {
         use crate::oracle::{NoisyOracleConfig, OracleMode, VerdictOverlay};
         let mut config = AdaLshConfig::new(rule());
         // Zero-noise oracle: identical to the exact path until the
@@ -545,20 +460,32 @@ mod tests {
         let overlay = std::sync::Arc::new(VerdictOverlay::default());
         online.set_oracle_overlay(Some(overlay.clone()));
 
-        let first = online.query_cached(2);
+        let first = online.query(2);
         assert!(first.stats.hash_evals > 0, "cold resolve must hash");
-        let cached = online.query_cached(2);
-        assert_eq!(cached.stats, first.stats, "unchanged overlay: cache hit");
+        let again = online.query(2);
+        assert_eq!(again.clusters, first.clusters, "no verdict, same answer");
 
-        // Force the two largest-cluster members apart: pick two records
-        // resolved into the same top cluster and overrule their match.
-        let top = &first.clusters[0];
+        let top = first.clusters[0].clone();
         assert!(top.len() >= 2, "precondition: a non-trivial top cluster");
-        overlay.set(top[0], top[1], false);
-        let revised = online.query_cached(2);
+        for &other in &top[1..] {
+            overlay.set(top[0], other, false);
+        }
+        let revised = online.query(2);
+        assert_ne!(
+            revised.clusters, first.clusters,
+            "verdicts change the answer"
+        );
+        assert!(
+            revised
+                .clusters
+                .iter()
+                .all(|cluster| !(cluster.contains(&top[0]) && cluster.contains(&top[1]))),
+            "overruled pair still resolved together: {:?}",
+            revised.clusters
+        );
         assert_eq!(
             revised.stats.hash_evals, 0,
-            "overlay-invalidated re-resolve reuses every hash"
+            "re-resolve after new verdicts reuses every hash"
         );
         let spend = revised.oracle.as_ref().expect("noisy run reports spend");
         assert!(spend.calls > 0, "re-resolve re-adjudicates pairs");

@@ -11,10 +11,10 @@
 //! The service is **read/write split**: `POST /ingest` lands batches in
 //! a bounded queue, one resolver thread owns the engine and drains the
 //! queue in adaptive batches, and after every pass it epoch-publishes
-//! an immutable [`pipeline::ResolvedSnapshot`] through a lock-free slot
-//! ([`publish`]). `GET /topk`, `/healthz`, and `/metrics` never acquire
-//! a mutex — readers clone an `Arc` and answer from it, so a slow
-//! resolve pass cannot stall the read path.
+//! an immutable [`pipeline::ResolvedSnapshot`]. `GET /topk`, `/healthz`,
+//! and `/metrics` clone the published `Arc` under a mutex that the
+//! resolver holds only for a pointer swap, never across a resolve pass,
+//! so a slow pass cannot stall the read path.
 //!
 //! Module map:
 //!
@@ -22,9 +22,8 @@
 //!   timeout-aware
 //! * [`server`] — accept loop, bounded queue, worker pool, graceful
 //!   drain on shutdown
-//! * [`publish`] — single-writer lock-free `Arc` publication slot
-//! * [`pipeline`] — bounded intake queue, resolver thread, epoch
-//!   publication, read-your-writes barriers
+//! * [`pipeline`] — bounded intake queue, resolver thread, the one
+//!   publish step every pass shares, read-your-writes barriers
 //! * [`service`] — routing over the pipeline
 //! * [`metrics`] — Prometheus text exposition (`/metrics`)
 //! * [`snapshot`] — durable resume: restart without re-hashing
@@ -35,7 +34,7 @@
 //! |---|---|
 //! | `POST /ingest` | schema-validated batch intake; returns assigned ids + `visible_epoch`; `503` + `Retry-After` when the queue is full |
 //! | `GET /topk?k=N[&wait_epoch=E][&min_records=R]` | top-k clusters + resolve stats from the published snapshot; optional read-your-writes barrier |
-//! | `GET /healthz` | lock-free liveness + record count + epoch |
+//! | `GET /healthz` | liveness + record count + epoch from the published snapshot |
 //! | `GET /metrics` | Prometheus text: requests, latency, queue/epoch, engine + oracle counters |
 //! | `POST /snapshot` | state persisted by the resolver thread at an epoch boundary (fsynced temp file + atomic rename + directory fsync) |
 //! | `POST /adjudicate` | external pairwise verdicts into the noisy oracle's overlay; re-resolves and re-publishes at the current epoch (400 under `--oracle exact`) |
@@ -44,7 +43,6 @@
 pub mod http;
 pub mod metrics;
 pub mod pipeline;
-pub mod publish;
 pub mod server;
 pub mod service;
 pub mod snapshot;

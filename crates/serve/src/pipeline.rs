@@ -4,9 +4,9 @@
 //! ```text
 //!                    write path                      read path
 //!   POST /ingest ──▶ validate ──▶ ┌──────────────┐
-//!                    (schema,     │ bounded MPSC │   GET /topk ────┐
-//!                     reserve ids │ queue        │   GET /healthz ─┤ Arc clone,
-//!                     + epoch)    │ (cap = Q)    │   GET /metrics ─┘ no locks
+//!                    (schema,     │ bounded MPSC │   GET /topk ────┐ Arc clone
+//!                     reserve ids │ queue        │   GET /healthz ─┤ under the
+//!                     + epoch)    │ (cap = Q)    │   GET /metrics ─┘ publish lock
 //!                         503 ◀── └──────┬───────┘        ▲
 //!                    + Retry-After       │ drain ≤ B      │ publish
 //!                                 ┌──────▼───────┐  ┌─────┴──────────────┐
@@ -30,17 +30,20 @@
 //! It pops the next command, opportunistically coalesces further queued
 //! ingest batches up to `max_batch` records (adaptive batching: an idle
 //! server resolves per batch for freshness, a backlogged one amortizes
-//! one resolve pass over many batches), applies them, resolves top
-//! `resolve_k`, and publishes an immutable [`ResolvedSnapshot`] through
-//! the lock-free slot in [`crate::publish`]. Snapshot commands execute
-//! between batches, so a persisted snapshot always corresponds exactly
-//! to a published epoch.
+//! one resolve pass over many batches), applies them, and runs the two
+//! steps every pass shares — the boot pass, each ingest pass, and each
+//! re-resolve after new verdicts: the *resolve step* (`query` at
+//! `resolve_k`, eval counters, an immutable [`ResolvedSnapshot`]) and
+//! the *publish step* (swap the snapshot in, wake barrier waiters).
+//! Snapshot commands execute between passes, so a persisted snapshot
+//! always corresponds exactly to a published epoch.
 //!
-//! **Read path.** Readers clone the published `Arc` — no mutex, no
-//! contact with the resolver. Read-your-writes is opt-in: `wait_until`
-//! parks on a condvar until the published epoch / record count reaches
-//! a floor (the condvar pair is touched only by barrier waiters and the
-//! resolver's publish step, never by plain reads).
+//! **Read path.** The published `Arc` sits behind one mutex. A reader
+//! holds it for one `Arc` clone and the resolver for one pointer swap —
+//! never across a resolve pass — so a busy resolver never delays a
+//! read. Read-your-writes is opt-in: `wait_until` parks on the same
+//! mutex's condvar until the published snapshot's epoch / record count
+//! reaches a floor.
 //!
 //! **Epoch/answer semantics.** Epoch `E` means "the first `E` accepted
 //! batches are applied". The published clusters are resolved at
@@ -62,7 +65,6 @@ use adalsh_data::{MatchRule, Record, Schema};
 use adalsh_obs::{ProcSample, SpanCollector, Spans, TraceSink, Value};
 
 use crate::metrics::PipelineMetrics;
-use crate::publish::{published, Publisher, ReadHandle};
 use crate::snapshot::ServeSnapshot;
 
 /// Tunables for the ingest pipeline.
@@ -173,26 +175,33 @@ enum Command {
     },
 }
 
-/// Writer-side state; only `submit`/`snapshot` lock this, never reads.
+/// Writer-side state; only `submit` and the command round trip lock
+/// this, never reads.
 struct Intake {
     sender: Option<SyncSender<Command>>,
     next_id: u32,
     next_epoch: u64,
 }
 
-/// Publish watermark for read-your-writes barriers. Touched only by
-/// the resolver's publish step and by waiting readers.
-struct BarrierState {
-    epoch: u64,
-    records: u64,
+/// The one publication point: the current snapshot, and the condvar
+/// read-your-writes barriers park on. Readers hold the mutex for one
+/// `Arc` clone, the resolver for one pointer swap.
+struct Published {
+    snapshot: Mutex<Arc<ResolvedSnapshot>>,
+    changed: Condvar,
+}
+
+impl Published {
+    fn load(&self) -> Arc<ResolvedSnapshot> {
+        Arc::clone(&lock_unpoisoned(&self.snapshot))
+    }
 }
 
 /// The assembled pipeline: intake queue + resolver thread + published
-/// snapshot slot. Dropping it drains the queue and joins the resolver.
+/// snapshot. Dropping it drains the queue and joins the resolver.
 pub struct Pipeline {
     intake: Mutex<Intake>,
-    reader: ReadHandle<ResolvedSnapshot>,
-    barrier: Arc<(Mutex<BarrierState>, Condvar)>,
+    published: Arc<Published>,
     schema: Schema,
     config: PipelineConfig,
     metrics: PipelineMetrics,
@@ -234,83 +243,64 @@ impl Pipeline {
             None
         };
 
-        // Boot resolve: epoch 0 covers everything the resolver was
-        // constructed (or resumed) with.
-        let boot_wall = Instant::now();
-        let output = resolver.query_cached(resolve_k);
-        // The boot segment belongs to no ingest batch — consume it so
-        // the first batch's spans don't adopt stale attribution.
-        if let Some(collector) = &collector {
-            let _ = collector.take_last_segment();
-        }
-        metrics.hash_evals.add(output.stats.hash_evals);
-        metrics.pairwise_evals.add(output.stats.pair_comparisons);
-        let boot = Arc::new(ResolvedSnapshot {
-            epoch: 0,
-            records: resolver.len(),
-            resolve_k,
-            clusters: output.clusters,
-            stats: output.stats,
-            oracle: output.oracle,
-            resolve_wall: output.wall,
-        });
-        metrics
-            .publish_seconds
-            .observe(boot_wall.elapsed().as_secs_f64());
-        metrics.published_epoch.set(0);
-
-        let (publisher, reader) = published(Arc::clone(&boot));
-        let (sender, receiver) = sync_channel::<Command>(config.queue_cap.max(1));
-        let barrier = Arc::new((
-            Mutex::new(BarrierState {
+        // The boot pass publishes through the same steps as every later
+        // one, so the slot starts with an empty placeholder that no
+        // reader ever sees: it is replaced before `start` returns.
+        let published = Arc::new(Published {
+            snapshot: Mutex::new(Arc::new(ResolvedSnapshot {
                 epoch: 0,
-                records: boot.records as u64,
-            }),
-            Condvar::new(),
-        ));
-
-        let drainer = {
-            let barrier = Arc::clone(&barrier);
-            let metrics = metrics.clone();
-            let config = config.clone();
-            let spans = Arc::clone(&spans);
-            let sink = resolver.trace().clone();
-            std::thread::Builder::new()
-                .name("adalsh-resolver".to_string())
-                .spawn(move || {
-                    drainer_loop(
-                        resolver,
-                        rule,
-                        snapshot_path,
-                        &receiver,
-                        publisher,
-                        &barrier,
-                        &config,
-                        &metrics,
-                        &SpanContext {
-                            spans,
-                            collector,
-                            sink,
-                        },
-                    );
-                })
-                .expect("spawn resolver thread")
+                records: 0,
+                resolve_k,
+                clusters: Vec::new(),
+                stats: Stats::default(),
+                oracle: None,
+                resolve_wall: Duration::ZERO,
+            })),
+            changed: Condvar::new(),
+        });
+        let sink = resolver.trace().clone();
+        let mut drainer = Drainer {
+            resolver,
+            rule,
+            snapshot_path,
+            published: Arc::clone(&published),
+            metrics: metrics.clone(),
+            resolve_k,
+            max_batch: config.max_batch.max(1),
+            span_ctx: SpanContext {
+                spans: Arc::clone(&spans),
+                collector,
+                sink,
+            },
         };
+
+        // Boot pass: epoch 0 covers everything the resolver was
+        // constructed (or resumed) with.
+        let boot_start = Instant::now();
+        let boot = drainer.resolve(0);
+        drainer.discard_segment();
+        let next_id = boot.records as u32;
+        drainer.publish(boot, boot_start);
+
+        let (sender, receiver) = sync_channel::<Command>(config.queue_cap.max(1));
+        let handle = std::thread::Builder::new()
+            .name("adalsh-resolver".to_string())
+            .spawn(move || drainer.run(&receiver))
+            .expect("spawn resolver thread");
 
         Self {
             intake: Mutex::new(Intake {
                 sender: Some(sender),
-                next_id: boot.records as u32,
+                next_id,
                 next_epoch: 1,
             }),
-            reader,
-            barrier,
+            published,
             schema,
             config,
             metrics,
             spans,
             snapshot_enabled,
-            drainer: Some(drainer),
+            drainer: Some(handle),
         }
     }
 
@@ -320,9 +310,11 @@ impl Pipeline {
         self.snapshot_enabled
     }
 
-    /// The currently published snapshot — one lock-free `Arc` clone.
+    /// The currently published snapshot: one `Arc` clone under the
+    /// publication mutex, which the resolver holds only to swap in a
+    /// finished snapshot — a resolve pass in progress never delays it.
     pub fn current(&self) -> Arc<ResolvedSnapshot> {
-        self.reader.load()
+        self.published.load()
     }
 
     /// The `k` the resolver resolves at.
@@ -333,11 +325,16 @@ impl Pipeline {
     /// Validates and enqueues one ingest batch.
     ///
     /// # Errors
-    /// [`SubmitError::Invalid`] on schema violation (nothing reserved),
-    /// [`SubmitError::Overloaded`] when the queue is full (nothing
-    /// reserved — the retry is idempotent), [`SubmitError::ShuttingDown`]
-    /// after shutdown began.
+    /// [`SubmitError::Invalid`] on an empty batch or a schema violation
+    /// (nothing reserved), [`SubmitError::Overloaded`] when the queue is
+    /// full (nothing reserved — the retry is idempotent),
+    /// [`SubmitError::ShuttingDown`] after shutdown began.
     pub fn submit(&self, records: Vec<Record>) -> Result<Accepted, SubmitError> {
+        if records.is_empty() {
+            return Err(SubmitError::Invalid(
+                "batch must hold at least one record".to_string(),
+            ));
+        }
         for (i, record) in records.iter().enumerate() {
             self.schema
                 .validate(record)
@@ -395,75 +392,64 @@ impl Pipeline {
     /// Propagates capture/save failures; times out if the resolver is
     /// stuck behind an enormous backlog.
     pub fn snapshot(&self) -> Result<SnapshotDone, String> {
-        let (reply, done) = sync_channel(1);
-        {
-            let intake = lock_unpoisoned(&self.intake);
-            let Some(sender) = intake.sender.as_ref() else {
-                return Err("pipeline is shutting down".to_string());
-            };
-            // A snapshot command must not consume ingest queue capacity
-            // budgeting, but it does occupy a slot; block briefly rather
-            // than failing, since snapshots are rare and small.
-            self.metrics.queue_depth.inc();
-            if sender.send(Command::Snapshot { reply }).is_err() {
-                self.metrics.queue_depth.dec();
-                return Err("pipeline is shutting down".to_string());
-            }
-        }
-        match done.recv_timeout(Duration::from_secs(60)) {
-            Ok(result) => result,
-            Err(_) => Err("timed out waiting for the resolver to snapshot".to_string()),
-        }
+        self.round_trip(|reply| Command::Snapshot { reply }, "snapshot")?
     }
 
     /// Asks the resolver thread to re-resolve and re-publish at the
     /// current epoch, returning the fresh snapshot. Used after external
-    /// verdicts land: the resolver's overlay-versioned cache misses and
-    /// the re-adjudicated answer becomes visible immediately.
+    /// verdicts land, so the re-adjudicated answer becomes visible
+    /// without waiting for the next ingest.
     ///
     /// # Errors
     /// Fails when the pipeline is shutting down or the resolver is
     /// stuck behind an enormous backlog.
     pub fn reresolve(&self) -> Result<Arc<ResolvedSnapshot>, String> {
+        self.round_trip(|reply| Command::Reresolve { reply }, "re-resolve")
+    }
+
+    /// Queues a command carrying a reply channel and waits for the
+    /// resolver's answer. The sender is cloned under the intake mutex
+    /// and the possibly blocking send happens after releasing it, so a
+    /// full queue stalls only this caller: concurrent `submit`s still
+    /// get their immediate `Overloaded`. The command occupies a queue
+    /// slot; blocking briefly instead of failing suits these rare,
+    /// small commands.
+    fn round_trip<T>(
+        &self,
+        command: impl FnOnce(SyncSender<T>) -> Command,
+        action: &str,
+    ) -> Result<T, String> {
+        let shutting_down = || "pipeline is shutting down".to_string();
+        let sender = lock_unpoisoned(&self.intake)
+            .sender
+            .clone()
+            .ok_or_else(shutting_down)?;
         let (reply, done) = sync_channel(1);
-        {
-            let intake = lock_unpoisoned(&self.intake);
-            let Some(sender) = intake.sender.as_ref() else {
-                return Err("pipeline is shutting down".to_string());
-            };
-            self.metrics.queue_depth.inc();
-            if sender.send(Command::Reresolve { reply }).is_err() {
-                self.metrics.queue_depth.dec();
-                return Err("pipeline is shutting down".to_string());
-            }
+        self.metrics.queue_depth.inc();
+        if sender.send(command(reply)).is_err() {
+            self.metrics.queue_depth.dec();
+            return Err(shutting_down());
         }
-        match done.recv_timeout(Duration::from_secs(60)) {
-            Ok(snapshot) => Ok(snapshot),
-            Err(_) => Err("timed out waiting for the resolver to re-resolve".to_string()),
-        }
+        done.recv_timeout(Duration::from_secs(60))
+            .map_err(|_| format!("timed out waiting for the resolver to {action}"))
     }
 
     /// Blocks until the published snapshot satisfies `epoch ≥ min_epoch`
     /// and `records ≥ min_records`, or the barrier timeout elapses.
     /// Returns `true` when satisfied. Plain reads never enter here.
     pub fn wait_until(&self, min_epoch: u64, min_records: u64) -> bool {
-        let deadline = Instant::now() + self.config.barrier_timeout;
-        let (lock, condvar) = &*self.barrier;
-        let mut state = lock_unpoisoned(lock);
-        while state.epoch < min_epoch || state.records < min_records {
-            let now = Instant::now();
-            if now >= deadline {
-                return false;
-            }
-            let (next, timeout) = condvar
-                .wait_timeout(state, deadline - now)
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            state = next;
-            if timeout.timed_out() && (state.epoch < min_epoch || state.records < min_records) {
-                return false;
-            }
-        }
-        true
+        let unreached =
+            |s: &mut Arc<ResolvedSnapshot>| s.epoch < min_epoch || (s.records as u64) < min_records;
+        let (mut snapshot, _) = self
+            .published
+            .changed
+            .wait_timeout_while(
+                lock_unpoisoned(&self.published.snapshot),
+                self.config.barrier_timeout,
+                unreached,
+            )
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        !unreached(&mut snapshot)
     }
 }
 
@@ -495,212 +481,226 @@ struct SpanContext {
     sink: TraceSink,
 }
 
-/// The resolver thread: pops commands in order, coalesces consecutive
-/// ingest batches up to `max_batch` records, applies + resolves +
-/// publishes, and executes snapshot commands at epoch boundaries.
-/// Exits when the intake channel closes, after draining it.
-#[allow(clippy::too_many_arguments)]
-fn drainer_loop(
-    mut resolver: OnlineAdaLsh,
+/// The resolver thread's state: the engine it owns and everything a
+/// pass resolves and publishes through.
+struct Drainer {
+    resolver: OnlineAdaLsh,
     rule: MatchRule,
     snapshot_path: Option<PathBuf>,
-    receiver: &Receiver<Command>,
-    mut publisher: Publisher<ResolvedSnapshot>,
-    barrier: &Arc<(Mutex<BarrierState>, Condvar)>,
-    config: &PipelineConfig,
-    metrics: &PipelineMetrics,
-    span_ctx: &SpanContext,
-) {
-    let resolve_k = config.resolve_k.max(1);
-    let max_batch = config.max_batch.max(1);
-    // A command popped while coalescing that cannot join the current
-    // pass (a snapshot, or records beyond max_batch) carries over.
-    let mut carried: Option<Command> = None;
+    published: Arc<Published>,
+    metrics: PipelineMetrics,
+    resolve_k: usize,
+    max_batch: usize,
+    span_ctx: SpanContext,
+}
 
-    loop {
-        let command = match carried.take() {
-            Some(c) => c,
-            None => match receiver.recv() {
-                Ok(c) => {
-                    metrics.queue_depth.dec();
-                    c
-                }
-                Err(_) => return, // channel closed and drained: shutdown
-            },
-        };
+impl Drainer {
+    /// Pops commands in order, coalesces consecutive ingest batches up
+    /// to `max_batch` records, applies + resolves + publishes, and
+    /// executes snapshot commands at epoch boundaries. Returns when the
+    /// intake channel closes, after draining it.
+    fn run(mut self, receiver: &Receiver<Command>) {
+        // A snapshot or re-resolve command popped while coalescing
+        // cannot join that pass; it carries over to the next one.
+        let mut carried: Option<Command> = None;
 
-        match command {
-            Command::Snapshot { reply } => {
-                let result = match &snapshot_path {
-                    None => Err(
-                        "snapshotting is disabled: start the server with --snapshot-out <path>"
-                            .to_string(),
-                    ),
-                    Some(path) => {
-                        let snapshot = ServeSnapshot::capture(&resolver, rule.clone());
-                        let records = snapshot.resolver.records.len();
-                        snapshot.save(path).map(|()| SnapshotDone {
-                            epoch: lock_unpoisoned(&barrier.0).epoch,
-                            records,
-                        })
+        loop {
+            let command = match carried.take() {
+                Some(c) => c,
+                None => match receiver.recv() {
+                    Ok(c) => {
+                        self.metrics.queue_depth.dec();
+                        c
                     }
-                };
-                let _ = reply.send(result);
-            }
-            Command::Reresolve { reply } => {
-                let pass_start = Instant::now();
-                let epoch = lock_unpoisoned(&barrier.0).epoch;
-                let output = resolver.query_cached(resolve_k);
-                // A re-resolve's segment belongs to no ingest span —
-                // consume it so the next batch starts clean.
-                if let Some(collector) = &span_ctx.collector {
-                    let _ = collector.take_last_segment();
-                }
-                metrics.hash_evals.add(output.stats.hash_evals);
-                metrics.pairwise_evals.add(output.stats.pair_comparisons);
-                let snapshot = Arc::new(ResolvedSnapshot {
-                    epoch,
-                    records: resolver.len(),
-                    resolve_k,
-                    clusters: output.clusters,
-                    stats: output.stats,
-                    oracle: output.oracle,
-                    resolve_wall: output.wall,
-                });
-                publisher.publish(Arc::clone(&snapshot));
-                metrics
-                    .publish_seconds
-                    .observe(pass_start.elapsed().as_secs_f64());
-                let _ = reply.send(snapshot);
-            }
-            Command::Ingest {
-                records,
-                epoch,
-                enqueued_micros,
-            } => {
-                let pass_start = Instant::now();
-                let spans = &span_ctx.spans;
-                let sink = &span_ctx.sink;
-                let tracing = spans.enabled();
-                // The root span starts at the first batch's *enqueue*
-                // stamp, so its duration is the full ingest-to-visible
-                // latency; queue wait is the [enqueue, pop] prefix.
-                let pop_stamp = if tracing { spans.now_micros() } else { 0 };
-                let root = spans.begin_at("ingest_batch", 0, enqueued_micros);
-                if tracing {
-                    let wait = spans.begin_at("queue_wait", root.id, enqueued_micros);
-                    spans.finish_at(wait, pop_stamp, &[], sink);
-                    metrics
-                        .queue_age
-                        .set(pop_stamp.saturating_sub(enqueued_micros) as f64 / 1e6);
-                }
+                    Err(_) => return, // channel closed and drained: shutdown
+                },
+            };
 
-                let mut batch = records;
-                let mut last_epoch = epoch;
-                let mut applied_batches = 1u64;
-                // Coalesce whatever else is already queued, preserving
-                // order, until the pass is full or a snapshot command
-                // (an epoch boundary) shows up. Coalesced batches fold
-                // into this pass's root span (their own enqueue stamps
-                // are later than the root's, so the window still
-                // contains their wait).
-                while batch.len() < max_batch {
-                    match receiver.try_recv() {
-                        Ok(next) => {
-                            metrics.queue_depth.dec();
-                            match next {
-                                Command::Ingest { records, epoch, .. } => {
-                                    batch.extend(records);
-                                    last_epoch = epoch;
-                                    applied_batches += 1;
-                                }
-                                other => {
-                                    // Snapshot / re-resolve commands mark an
-                                    // epoch boundary: finish this pass first.
-                                    carried = Some(other);
-                                    break;
-                                }
-                            }
+            match command {
+                Command::Snapshot { reply } => {
+                    let result = match &self.snapshot_path {
+                        None => Err(
+                            "snapshotting is disabled: start the server with --snapshot-out <path>"
+                                .to_string(),
+                        ),
+                        Some(path) => {
+                            let snapshot =
+                                ServeSnapshot::capture(&self.resolver, self.rule.clone());
+                            let records = snapshot.resolver.records.len();
+                            snapshot.save(path).map(|()| SnapshotDone {
+                                epoch: self.published.load().epoch,
+                                records,
+                            })
                         }
-                        Err(_) => break,
-                    }
+                    };
+                    let _ = reply.send(result);
                 }
-                if tracing {
-                    let coalesce = spans.begin_at("coalesce", root.id, pop_stamp);
-                    spans.finish(coalesce, &[("batches", Value::U64(applied_batches))], sink);
+                Command::Reresolve { reply } => {
+                    let pass_start = Instant::now();
+                    let snapshot = self.resolve(self.published.load().epoch);
+                    self.discard_segment();
+                    self.publish(Arc::clone(&snapshot), pass_start);
+                    let _ = reply.send(snapshot);
                 }
-
-                let batch_len = batch.len();
-                let resolve_span = spans.begin("resolve", root.id);
-                let proc_before = if tracing { ProcSample::capture() } else { None };
-                resolver
-                    .extend(batch)
-                    .expect("batch pre-validated at intake");
-                let output = resolver.query_cached(resolve_k);
-                metrics.hash_evals.add(output.stats.hash_evals);
-                metrics.pairwise_evals.add(output.stats.pair_comparisons);
-                if tracing {
-                    // Engine-derived children, reconciled bit-for-bit
-                    // with the hash_round/pairwise events of their segment.
-                    if let Some(collector) = &span_ctx.collector {
-                        collector.emit_segment_spans(spans, resolve_span, sink);
-                    }
-                    let mut fields: Vec<(&'static str, Value<'static>)> =
-                        vec![("records", Value::U64(batch_len as u64))];
-                    if let (Some(before), Some(after)) = (proc_before, ProcSample::capture()) {
-                        metrics
-                            .resolve_minor_faults
-                            .add(after.minor_faults.saturating_sub(before.minor_faults));
-                        metrics
-                            .resolve_major_faults
-                            .add(after.major_faults.saturating_sub(before.major_faults));
-                        fields.extend(before.delta_fields(&after));
-                    }
-                    spans.finish(resolve_span, &fields, sink);
-                }
-                let snapshot = Arc::new(ResolvedSnapshot {
-                    epoch: last_epoch,
-                    records: resolver.len(),
-                    resolve_k,
-                    clusters: output.clusters,
-                    stats: output.stats,
-                    oracle: output.oracle,
-                    resolve_wall: output.wall,
-                });
-                let records_total = snapshot.records as u64;
-                let publish_span = spans.begin("publish", root.id);
-                publisher.publish(snapshot);
-
-                metrics.batch_records.observe(batch_len as f64);
-                metrics.applied_batches.add(applied_batches);
-                metrics.published_epoch.set(last_epoch);
-                metrics
-                    .publish_seconds
-                    .observe(pass_start.elapsed().as_secs_f64());
-
-                // Wake barrier waiters after the snapshot is visible.
-                let (lock, condvar) = &**barrier;
-                let mut state = lock_unpoisoned(lock);
-                state.epoch = last_epoch;
-                state.records = records_total;
-                drop(state);
-                condvar.notify_all();
-
-                if tracing {
-                    spans.finish(publish_span, &[("epoch", Value::U64(last_epoch))], sink);
-                    let total = spans.finish_at(
-                        root,
-                        spans.now_micros(),
-                        &[
-                            ("records", Value::U64(batch_len as u64)),
-                            ("batches", Value::U64(applied_batches)),
-                            ("epoch", Value::U64(last_epoch)),
-                        ],
-                        sink,
-                    );
-                    metrics.ingest_to_visible.observe(total as f64 / 1e6);
+                Command::Ingest {
+                    records,
+                    epoch,
+                    enqueued_micros,
+                } => {
+                    carried = self.ingest(receiver, records, epoch, enqueued_micros);
                 }
             }
+        }
+    }
+
+    /// One ingest pass: coalesce, apply, resolve, publish — wrapped in
+    /// the `ingest_batch` span tree when tracing. Returns a command
+    /// popped while coalescing that belongs to the next pass.
+    fn ingest(
+        &mut self,
+        receiver: &Receiver<Command>,
+        records: Vec<Record>,
+        epoch: u64,
+        enqueued_micros: u64,
+    ) -> Option<Command> {
+        let pass_start = Instant::now();
+        let spans = Arc::clone(&self.span_ctx.spans);
+        let sink = self.span_ctx.sink.clone();
+        let tracing = spans.enabled();
+        // The root span starts at the first batch's *enqueue* stamp, so
+        // its duration is the full ingest-to-visible latency; queue wait
+        // is the [enqueue, pop] prefix.
+        let pop_stamp = if tracing { spans.now_micros() } else { 0 };
+        let root = spans.begin_at("ingest_batch", 0, enqueued_micros);
+        if tracing {
+            let wait = spans.begin_at("queue_wait", root.id, enqueued_micros);
+            spans.finish_at(wait, pop_stamp, &[], &sink);
+            self.metrics
+                .queue_age
+                .set(pop_stamp.saturating_sub(enqueued_micros) as f64 / 1e6);
+        }
+
+        let mut batch = records;
+        let mut last_epoch = epoch;
+        let mut applied_batches = 1u64;
+        let mut carried = None;
+        // Coalesce whatever else is already queued, preserving order,
+        // until the pass is full or a snapshot / re-resolve command (an
+        // epoch boundary) shows up. Coalesced batches fold into this
+        // pass's root span (their own enqueue stamps are later than the
+        // root's, so the window still contains their wait).
+        while batch.len() < self.max_batch {
+            let Ok(next) = receiver.try_recv() else {
+                break;
+            };
+            self.metrics.queue_depth.dec();
+            match next {
+                Command::Ingest { records, epoch, .. } => {
+                    batch.extend(records);
+                    last_epoch = epoch;
+                    applied_batches += 1;
+                }
+                other => {
+                    carried = Some(other);
+                    break;
+                }
+            }
+        }
+        if tracing {
+            let coalesce = spans.begin_at("coalesce", root.id, pop_stamp);
+            spans.finish(coalesce, &[("batches", Value::U64(applied_batches))], &sink);
+        }
+
+        let batch_len = batch.len();
+        let resolve_span = spans.begin("resolve", root.id);
+        let proc_before = if tracing { ProcSample::capture() } else { None };
+        self.resolver
+            .extend(batch)
+            .expect("batch pre-validated at intake");
+        let snapshot = self.resolve(last_epoch);
+        if tracing {
+            // Engine-derived children, reconciled bit-for-bit with the
+            // hash_round/pairwise events of their segment.
+            if let Some(collector) = &self.span_ctx.collector {
+                collector.emit_segment_spans(&spans, resolve_span, &sink);
+            }
+            let mut fields: Vec<(&'static str, Value<'static>)> =
+                vec![("records", Value::U64(batch_len as u64))];
+            if let (Some(before), Some(after)) = (proc_before, ProcSample::capture()) {
+                self.metrics
+                    .resolve_minor_faults
+                    .add(after.minor_faults.saturating_sub(before.minor_faults));
+                self.metrics
+                    .resolve_major_faults
+                    .add(after.major_faults.saturating_sub(before.major_faults));
+                fields.extend(before.delta_fields(&after));
+            }
+            spans.finish(resolve_span, &fields, &sink);
+        }
+
+        self.metrics.batch_records.observe(batch_len as f64);
+        self.metrics.applied_batches.add(applied_batches);
+        let publish_span = spans.begin("publish", root.id);
+        self.publish(snapshot, pass_start);
+
+        if tracing {
+            spans.finish(publish_span, &[("epoch", Value::U64(last_epoch))], &sink);
+            let total = spans.finish_at(
+                root,
+                spans.now_micros(),
+                &[
+                    ("records", Value::U64(batch_len as u64)),
+                    ("batches", Value::U64(applied_batches)),
+                    ("epoch", Value::U64(last_epoch)),
+                ],
+                &sink,
+            );
+            self.metrics.ingest_to_visible.observe(total as f64 / 1e6);
+        }
+        carried
+    }
+
+    /// The resolve step every pass shares: one `query` at `resolve_k`,
+    /// its work folded into the eval counters, wrapped as the immutable
+    /// snapshot of `epoch`.
+    fn resolve(&mut self, epoch: u64) -> Arc<ResolvedSnapshot> {
+        let output = self.resolver.query(self.resolve_k);
+        self.metrics.hash_evals.add(output.stats.hash_evals);
+        self.metrics
+            .pairwise_evals
+            .add(output.stats.pair_comparisons);
+        Arc::new(ResolvedSnapshot {
+            epoch,
+            records: self.resolver.len(),
+            resolve_k: self.resolve_k,
+            clusters: output.clusters,
+            stats: output.stats,
+            oracle: output.oracle,
+            resolve_wall: output.wall,
+        })
+    }
+
+    /// The publish step every pass shares. The epoch gauge and pass
+    /// latency are recorded first, so whoever sees the snapshot also
+    /// sees them; then the snapshot is swapped in and barrier waiters
+    /// are woken. The replaced snapshot is freed after the lock is
+    /// released.
+    fn publish(&self, snapshot: Arc<ResolvedSnapshot>, pass_start: Instant) {
+        self.metrics.published_epoch.set(snapshot.epoch);
+        self.metrics
+            .publish_seconds
+            .observe(pass_start.elapsed().as_secs_f64());
+        let replaced = std::mem::replace(&mut *lock_unpoisoned(&self.published.snapshot), snapshot);
+        self.published.changed.notify_all();
+        drop(replaced);
+    }
+
+    /// Drops the engine-attribution segment of a pass that belongs to
+    /// no ingest batch (boot, re-resolve), so the next batch's spans
+    /// don't adopt stale attribution.
+    fn discard_segment(&self) {
+        if let Some(collector) = &self.span_ctx.collector {
+            let _ = collector.take_last_segment();
         }
     }
 }
@@ -743,6 +743,60 @@ mod tests {
             Arc::new(Spans::new(64, 0)),
         );
         (pipeline, metrics)
+    }
+
+    /// Parks the resolver thread at its next `run_start` event once
+    /// armed, until released — a deterministic stand-in for a long
+    /// resolve pass.
+    #[derive(Default)]
+    struct RunGate {
+        state: Mutex<GateState>,
+        changed: Condvar,
+    }
+
+    #[derive(Default, PartialEq)]
+    enum GateState {
+        #[default]
+        Open,
+        Armed,
+        Parked,
+        Released,
+    }
+
+    impl RunGate {
+        fn set(&self, state: GateState) {
+            *lock_unpoisoned(&self.state) = state;
+            self.changed.notify_all();
+        }
+
+        fn wait_parked(&self) {
+            let state = lock_unpoisoned(&self.state);
+            let (state, _) = self
+                .changed
+                .wait_timeout_while(state, Duration::from_secs(10), |s| *s != GateState::Parked)
+                .unwrap();
+            assert!(
+                *state == GateState::Parked,
+                "resolver never reached run_start"
+            );
+        }
+    }
+
+    impl adalsh_obs::trace::Subscriber for RunGate {
+        fn event(&self, event: &adalsh_obs::trace::Event<'_>) {
+            if event.name != "run_start" {
+                return;
+            }
+            let mut state = lock_unpoisoned(&self.state);
+            if *state != GateState::Armed {
+                return;
+            }
+            *state = GateState::Parked;
+            self.changed.notify_all();
+            while *state == GateState::Parked {
+                state = self.changed.wait(state).unwrap();
+            }
+        }
     }
 
     #[test]
@@ -859,6 +913,138 @@ mod tests {
             text.contains("adalsh_ingest_to_visible_seconds_count 1"),
             "{text}"
         );
+    }
+
+    #[test]
+    fn submit_rejects_an_empty_batch() {
+        let (pipeline, _metrics) = test_pipeline(PipelineConfig::default());
+        match pipeline.submit(Vec::new()) {
+            Err(SubmitError::Invalid(message)) => {
+                assert!(message.contains("at least one record"), "{message}")
+            }
+            other => panic!("expected Invalid, got {other:?}"),
+        }
+        let ok = pipeline.submit(vec![shingle_record(&[1, 2, 3])]).unwrap();
+        assert_eq!(ok.ids, vec![8]);
+        assert_eq!(ok.visible_epoch, 1, "empty batch burned no epoch");
+        assert!(pipeline.wait_until(1, 0));
+        assert_eq!(pipeline.current().records, 9);
+    }
+
+    /// A snapshot (or re-resolve) round trip blocked on a full queue
+    /// must not hold the intake mutex: a concurrent `submit` still gets
+    /// its immediate `Overloaded` instead of waiting on the resolver.
+    #[test]
+    fn blocked_round_trip_leaves_submit_overloaded() {
+        let schema = Schema::single("s", FieldKind::Shingles);
+        let records: Vec<Record> = (0..8)
+            .map(|i| shingle_record(&[i, i + 1, i + 2, 100]))
+            .collect();
+        let dataset = Dataset::new(schema, records, vec![0; 8]);
+        let rule = MatchRule::threshold(0, FieldDistance::Jaccard, 0.6);
+        let mut resolver = OnlineAdaLsh::new(&dataset, AdaLshConfig::new(rule.clone())).unwrap();
+        let gate = Arc::new(RunGate::default());
+        resolver.set_trace(TraceSink::new(gate.clone()));
+        let metrics = Metrics::new();
+        let pipeline = Pipeline::start(
+            resolver,
+            rule,
+            None,
+            PipelineConfig {
+                queue_cap: 2,
+                ..PipelineConfig::default()
+            },
+            metrics.pipeline(),
+            Arc::new(Spans::disabled()),
+        );
+
+        // Park the resolver inside the first batch's pass, then fill
+        // the queue behind it.
+        gate.set(GateState::Armed);
+        pipeline.submit(vec![shingle_record(&[1, 2, 3])]).unwrap();
+        gate.wait_parked();
+        pipeline.submit(vec![shingle_record(&[4, 5, 6])]).unwrap();
+        pipeline.submit(vec![shingle_record(&[7, 8, 9])]).unwrap();
+
+        let pipeline = &pipeline;
+        std::thread::scope(|scope| {
+            let snapshotter = scope.spawn(|| pipeline.snapshot());
+            // The round trip counts its command before the blocking send.
+            let deadline = Instant::now() + Duration::from_secs(10);
+            while !metrics.render().contains("adalsh_ingest_queue_depth 3") {
+                assert!(Instant::now() < deadline, "snapshot command never queued");
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            let (sent, outcome) = std::sync::mpsc::channel();
+            scope.spawn(move || {
+                let _ = sent.send(pipeline.submit(vec![shingle_record(&[10, 11])]));
+            });
+            let outcome = outcome.recv_timeout(Duration::from_secs(10));
+            gate.set(GateState::Released);
+            assert!(
+                matches!(outcome, Ok(Err(SubmitError::Overloaded { .. }))),
+                "submit must be shed at once while a round trip waits for room: {outcome:?}"
+            );
+            let err = snapshotter.join().unwrap().unwrap_err();
+            assert!(err.contains("disabled"), "{err}");
+        });
+        assert!(pipeline.wait_until(3, 11));
+    }
+
+    /// Readers polling `current()` while the resolver publishes pass
+    /// after pass never see the epoch or record count go backwards.
+    #[test]
+    fn concurrent_readers_see_monotone_epochs() {
+        const PASSES: u64 = 100;
+        let (pipeline, _metrics) = test_pipeline(PipelineConfig::default());
+        let done = std::sync::atomic::AtomicBool::new(false);
+        let (reads, all_visible) = std::thread::scope(|scope| {
+            let readers: Vec<_> = (0..2)
+                .map(|_| {
+                    scope.spawn(|| {
+                        let (mut epoch, mut records, mut reads) = (0, 0, 0u64);
+                        while !done.load(std::sync::atomic::Ordering::SeqCst) {
+                            let snapshot = pipeline.current();
+                            assert!(
+                                snapshot.epoch >= epoch && snapshot.records >= records,
+                                "went backwards: epoch {} < {epoch} or records {} < {records}",
+                                snapshot.epoch,
+                                snapshot.records
+                            );
+                            (epoch, records) = (snapshot.epoch, snapshot.records);
+                            reads += 1;
+                        }
+                        reads
+                    })
+                })
+                .collect();
+            let all_visible = (0..PASSES).all(|i| {
+                pipeline
+                    .submit(vec![shingle_record(&[i, i + 1])])
+                    .is_ok_and(|accepted| pipeline.wait_until(accepted.visible_epoch, 0))
+            });
+            done.store(true, std::sync::atomic::Ordering::SeqCst);
+            let reads: Vec<u64> = readers.into_iter().map(|r| r.join().unwrap()).collect();
+            (reads, all_visible)
+        });
+        assert!(all_visible, "every batch became visible");
+        assert!(reads.iter().all(|&n| n > 0), "{reads:?}");
+        let last = pipeline.current();
+        assert_eq!((last.epoch, last.records), (PASSES, 8 + PASSES as usize));
+    }
+
+    /// A replaced snapshot is freed by the publish step that replaces
+    /// it: nothing keeps old epochs alive.
+    #[test]
+    fn replaced_snapshot_is_freed() {
+        let (pipeline, _metrics) = test_pipeline(PipelineConfig::default());
+        let boot = Arc::downgrade(&pipeline.current());
+        assert!(boot.upgrade().is_some(), "the boot snapshot is published");
+        // The reply is sent after the publish step returns.
+        let republished = pipeline.reresolve().unwrap();
+        assert_eq!(republished.epoch, 0);
+        assert!(boot.upgrade().is_none(), "replaced snapshot still alive");
+        assert!(Arc::ptr_eq(&republished, &pipeline.current()));
     }
 
     #[test]
