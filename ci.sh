@@ -6,13 +6,13 @@
 #   ./ci.sh --bench-smoke  # gate + compile the Criterion benches + tiny
 #                          # end-to-end runs of the baseline recorders
 #                          # (bench_pairwise; bench_kernels, which fails
-#                          # unless DOPH beats the classic batched
-#                          # MinHash kernel at width 128; bench_serve,
-#                          # which fails if 16 concurrent readers tank
-#                          # the pipelined server's QPS; bench_scale,
-#                          # which fails unless the mapped-store filter
-#                          # is bit-identical to the in-RAM run and
-#                          # streaming ingest stays out-of-core;
+#                          # if a hash-kernel row goes unmeasured;
+#                          # bench_serve, which fails if 16 concurrent
+#                          # readers tank the pipelined server's QPS;
+#                          # bench_scale, which fails unless the
+#                          # mapped-store filter is bit-identical to the
+#                          # in-RAM run, streaming ingest stays
+#                          # out-of-core, and gold F1 stays at 1.0;
 #                          # bench_spans, which fails if the span layer
 #                          # slows ingest-to-visible past 1.15x, then
 #                          # gates the fresh numbers against the
@@ -249,28 +249,25 @@ trace_smoke
 echo "==> weighted-rule smoke"
 # The cora rule (a weighted average AND a threshold) is the one shipped
 # preset whose hashing routes functions through Definition-7 weighted
-# parts. Run it under both MinHash schemes: each trace must validate,
-# and the clusters must not depend on the thread count. Both thread
-# counts take the same batched path, so this checks end-to-end plumbing
-# and determinism only; batched-vs-scalar equality of the weighted and
-# DOPH leaves is pinned by crates/core/tests/proptest_hashing.rs.
+# parts. The trace must validate, and the clusters must not depend on
+# the thread count. Both thread counts take the same batched path, so
+# this checks end-to-end plumbing and determinism only; batched-vs-scalar
+# equality of the weighted leaves is pinned by
+# crates/core/tests/proptest_hashing.rs.
 weighted_smoke() {
-    local data trace scheme one two
+    local data trace one two
     data=$(mktemp /tmp/adalsh-weighted-smoke-XXXXXX.jsonl)
     trace=$(mktemp /tmp/adalsh-weighted-smoke-XXXXXX.trace.jsonl)
     ./target/release/adalsh generate cora --out "$data" --records 400 --seed 3 >/dev/null
-    for scheme in classic doph; do
-        one=$(./target/release/adalsh filter "$data" --rule cora --k 3 \
-            --minhash-scheme "$scheme" --threads 1 --trace-out "$trace")
-        grep -q '^#1 ' <<<"$one" ||
-            { echo "weighted-rule $scheme filter printed no clusters" >&2; return 1; }
-        grep -q 'OK' <<<"$(./target/release/adalsh trace validate "$trace")" ||
-            { echo "weighted-rule $scheme trace validate failed" >&2; return 1; }
-        two=$(./target/release/adalsh filter "$data" --rule cora --k 3 \
-            --minhash-scheme "$scheme" --threads 2)
-        [ "$(grep '^#' <<<"$one")" = "$(grep '^#' <<<"$two")" ] ||
-            { echo "weighted-rule $scheme clusters differ across threads" >&2; return 1; }
-    done
+    one=$(./target/release/adalsh filter "$data" --rule cora --k 3 \
+        --threads 1 --trace-out "$trace")
+    grep -q '^#1 ' <<<"$one" ||
+        { echo "weighted-rule filter printed no clusters" >&2; return 1; }
+    grep -q 'OK' <<<"$(./target/release/adalsh trace validate "$trace")" ||
+        { echo "weighted-rule trace validate failed" >&2; return 1; }
+    two=$(./target/release/adalsh filter "$data" --rule cora --k 3 --threads 2)
+    [ "$(grep '^#' <<<"$one")" = "$(grep '^#' <<<"$two")" ] ||
+        { echo "weighted-rule clusters differ across threads" >&2; return 1; }
     rm -f "$data" "$trace"
 }
 weighted_smoke
@@ -343,7 +340,7 @@ if [ "$bench_smoke" = 1 ]; then
     echo "==> bench_pairwise --smoke"
     cargo run --release -p adalsh-bench --bin bench_pairwise -- --smoke
 
-    echo "==> bench_kernels --smoke (doph-beats-classic gate)"
+    echo "==> bench_kernels --smoke (every kernel row measured)"
     cargo run --release -p adalsh-bench --bin bench_kernels -- --smoke
 
     echo "==> bench_oracle --smoke (noisy-oracle robustness sweep)"
@@ -354,16 +351,17 @@ if [ "$bench_smoke" = 1 ]; then
     # server's 16-client read QPS holds up against its 1-client QPS.
     cargo run --release -p adalsh-bench --bin bench_serve -- --smoke
 
-    echo "==> bench_scale --smoke (out-of-core gates)"
+    echo "==> bench_scale --smoke (out-of-core and gold-F1 gates)"
     # Fails unless the mapped-store filter is bit-identical to the
-    # in-RAM run and streaming ingest peaks below the materialized
-    # footprint.
+    # in-RAM run, streaming ingest peaks below the materialized
+    # footprint, and the 10^4 filter's gold F1 is 1.0.
     cargo run --release -p adalsh-bench --bin bench_scale -- --smoke
 
     echo "==> bench_spans --smoke (span-overhead + regression gate)"
-    # Fails if the span layer slows ingest-to-visible past 1.15x, then
-    # diffs the fresh numbers against the committed baseline — smoke
-    # mode tolerates warn-level (1.3x) noise but fails past 3x.
+    # Fails if the span layer slows ingest-to-visible past 1.15x (the
+    # median over interleaved rounds of both arms), then diffs the fresh
+    # numbers against the committed baseline — smoke mode tolerates
+    # warn-level (1.3x) noise but fails past 3x.
     spans_fresh=$(mktemp /tmp/adalsh-bench-spans-XXXXXX.json)
     cargo run --release -p adalsh-bench --bin bench_spans -- --smoke --out "$spans_fresh"
     ./target/release/adalsh bench diff "$spans_fresh" BENCH_spans.json --smoke

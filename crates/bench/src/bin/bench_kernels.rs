@@ -1,8 +1,7 @@
 //! Kernel baseline recorder: times the scalar and batched MinHash /
-//! hyperplane kernels plus the DOPH one-pass kernel at batch widths
-//! 16 / 128 / 1024 and writes per-kernel throughput (ops/sec, one op =
-//! one hash-function evaluation / one produced slot) to
-//! `BENCH_kernels.json` at the workspace root.
+//! hyperplane kernels at batch widths 16 / 128 / 1024 and writes
+//! per-kernel throughput (ops/sec, one op = one hash-function
+//! evaluation) to `BENCH_kernels.json` at the workspace root.
 //!
 //! Unlike the Criterion benches (`cargo bench -p adalsh-bench`), this is
 //! a one-shot recorder producing a small machine-readable baseline that
@@ -15,11 +14,11 @@
 //!
 //! `--smoke` (used by `ci.sh --bench-smoke`) measures only width 128 with
 //! shortened timing windows, does not overwrite the committed baseline,
-//! and **exits nonzero unless the DOPH kernel beats the classic batched
-//! kernel** — the structural speedup this recorder exists to pin.
+//! and **exits nonzero unless every row measured a finite, positive
+//! throughput**.
 
 use adalsh_bench::recorder::provenance_fields;
-use adalsh_lsh::{DensifiedMinHash, HyperplaneFamily, MinHashFamily};
+use adalsh_lsh::{HyperplaneFamily, MinHashFamily};
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -76,14 +75,6 @@ fn main() {
         });
         rows.push((format!("minhash_batch/{width}"), ops));
 
-        // DOPH: all `width` slots in ONE pass over the set.
-        let doph = DensifiedMinHash::new(3, width);
-        let ops = measure(width, window, || {
-            doph.hash_all(black_box(&set), &mut out);
-            black_box(out[width - 1]);
-        });
-        rows.push((format!("minhash_doph/{width}"), ops));
-
         let ops = measure(width, window, || {
             for (o, &i) in out.iter_mut().zip(&idx) {
                 *o = hp.hash(i, black_box(&v));
@@ -119,25 +110,23 @@ fn main() {
     };
     for &w in widths {
         println!(
-            "width {w:>4}: minhash batched/scalar = {:.2}x, doph/batched = {:.2}x, \
-             doph/scalar = {:.2}x, hyperplane batched/scalar = {:.2}x",
+            "width {w:>4}: minhash batched/scalar = {:.2}x, hyperplane batched/scalar = {:.2}x",
             get("minhash_batch", w) / get("minhash_scalar", w),
-            get("minhash_doph", w) / get("minhash_batch", w),
-            get("minhash_doph", w) / get("minhash_scalar", w),
             get("hyperplane_batch", w) / get("hyperplane_scalar", w),
         );
     }
 
     if smoke {
-        // The gate ci.sh --bench-smoke relies on: DOPH's one-pass kernel
-        // must out-throughput the classic batched kernel at K·L = 128.
-        let (doph, classic) = (get("minhash_doph", 128), get("minhash_batch", 128));
-        // NaN (a row failed to measure) must fail the gate too.
-        if doph.partial_cmp(&classic) != Some(std::cmp::Ordering::Greater) {
-            eprintln!("FAIL: doph {doph:.0} ops/s does not beat classic batched {classic:.0} ops/s at width 128");
+        // A row that failed to measure (NaN, zero, infinite) fails the
+        // gate: the comparison is written so NaN never passes.
+        if let Some((name, ops)) = rows
+            .iter()
+            .find(|(_, ops)| !(ops.is_finite() && *ops > 0.0))
+        {
+            eprintln!("FAIL: {name} measured {ops} ops/s");
             std::process::exit(1);
         }
-        println!("smoke mode: doph beats classic at width 128; baseline not written");
+        println!("smoke mode: every kernel row measured; baseline not written");
         return;
     }
     let path = "BENCH_kernels.json";

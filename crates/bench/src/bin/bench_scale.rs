@@ -2,7 +2,8 @@
 //! generator into a store file at 10^4 / 10^5 / 10^6 records, then runs
 //! the adaLSH filter directly off the memory mapping, and writes per
 //! scale: ingest throughput (records/sec), store file size, filter
-//! wall-clock, and the peak RSS of each phase (`VmHWM` from
+//! wall-clock with the MinHash scheme and gold F1 beside it, and the
+//! peak RSS of each phase (`VmHWM` from
 //! `/proc/self/status`, reset between phases via
 //! `/proc/self/clear_refs`) to `BENCH_scale.json` at the workspace
 //! root. At every scale the store also gets materialized into an
@@ -21,21 +22,27 @@
 //! `--smoke` (used by `ci.sh --bench-smoke`) runs the 10^4 scale only,
 //! does not overwrite the committed baseline, and **exits nonzero
 //! unless (a) the mapped-store filter output is bit-identical (clusters
-//! and Stats) to the materialized in-RAM run and (b) ingest peaked
-//! below the materialized footprint** — the two structural properties
-//! this recorder exists to pin.
+//! and Stats) to the materialized in-RAM run, (b) ingest peaked below
+//! the materialized footprint, and (c) the filter's gold F1 is at least
+//! [`SMOKE_F1_FLOOR`]** — the out-of-core properties this recorder
+//! exists to pin, and a floor that keeps a fast-but-wrong filter from
+//! passing as a speedup.
 
 use std::time::Instant;
 
 use adalsh_bench::recorder::{peak_rss_bytes, provenance_fields};
 use adalsh_core::algorithm::{AdaLsh, AdaLshConfig, FilterOutput};
-use adalsh_core::MinhashScheme;
+use adalsh_core::metrics::set_metrics;
 use adalsh_data::{Dataset, RecordStore};
 use adalsh_datagen::{scale_match_rule, ScaleConfig, ScaleGenerator};
 use adalsh_store::{StoreBuilder, StoreView};
 
 const K: usize = 10;
 const SEED: u64 = 0x5CA1E;
+/// Gold F1 the 10^4 smoke filter must reach: the planted entities sit
+/// well inside the rule's threshold, and the filter recovers them
+/// exactly.
+const SMOKE_F1_FLOOR: f64 = 1.0;
 
 /// Resets the kernel's peak-RSS high-water mark so the next
 /// [`peak_rss_bytes`] read is attributable to the phase that follows.
@@ -55,19 +62,13 @@ struct ScaleRow {
     filter_secs: f64,
     filter_peak_rss: u64,
     output_records: usize,
+    f1_gold: f64,
     materialized_peak_rss: u64,
 }
 
-fn filter_config() -> AdaLshConfig {
-    let mut config = AdaLshConfig::new(scale_match_rule());
-    // DOPH is the scale-tier kernel: all K·L slots in one pass per
-    // record instead of one set traversal per slot.
-    config.minhash_scheme = MinhashScheme::Doph;
-    config
-}
-
 fn run_filter(store: &dyn RecordStore) -> FilterOutput {
-    let mut ada = AdaLsh::for_dataset(store, filter_config()).expect("sequence design");
+    let config = AdaLshConfig::new(scale_match_rule());
+    let mut ada = AdaLsh::for_dataset(store, config).expect("sequence design");
     ada.run(store, K)
 }
 
@@ -112,6 +113,7 @@ fn run_scale(records: usize, check_identity: bool) -> (ScaleRow, bool) {
     let mapped_out = run_filter(&view);
     let filter_secs = start.elapsed().as_secs_f64();
     let filter_peak_rss = peak_rss_bytes().unwrap_or(0);
+    let f1_gold = set_metrics(&mapped_out.records(), &view.gold_records(K)).f1;
 
     // Phase 3: materialize the whole store in RAM — the footprint the
     // mapped path avoids. The filter re-run doubles as the bit-identity
@@ -147,6 +149,7 @@ fn run_scale(records: usize, check_identity: bool) -> (ScaleRow, bool) {
         filter_secs,
         filter_peak_rss,
         output_records: mapped_out.records().len(),
+        f1_gold,
         materialized_peak_rss,
     };
     (row, identical)
@@ -172,7 +175,8 @@ fn main() {
         all_identical &= identical;
         println!(
             "scale {:>9}: ingest {:.2}s ({:.0} rec/s, peak {} MiB), file {} MiB, \
-             filter {:.2}s (peak {} MiB, {} output records), materialized peak {} MiB",
+             filter {:.2}s (peak {} MiB, {} output records, F1 gold {:.4}), \
+             materialized peak {} MiB",
             row.records,
             row.ingest_secs,
             row.ingest_rps,
@@ -181,6 +185,7 @@ fn main() {
             row.filter_secs,
             row.filter_peak_rss >> 20,
             row.output_records,
+            row.f1_gold,
             row.materialized_peak_rss >> 20,
         );
         rows.push(row);
@@ -188,17 +193,20 @@ fn main() {
 
     let mut json = String::from("{\n");
     json.push_str(&format!(
-        "  \"_meta\": {{ \"k\": {K}, \"seed\": {SEED}, \"minhash_scheme\": \"doph\", \
+        "  \"_meta\": {{ \"k\": {K}, \"seed\": {SEED}, \
          \"rss_source\": \"VmHWM per phase (clear_refs reset)\", {} }}",
         provenance_fields()
     ));
+    let scheme = format!("{:?}", AdaLshConfig::new(scale_match_rule()).minhash_scheme);
     for r in &rows {
         json.push_str(&format!(
             ",\n  \"scale_{}\": {{ \"records\": {}, \"entities\": {}, \
              \"ingest_secs\": {:.3}, \"ingest_records_per_sec\": {:.0}, \
              \"file_bytes\": {}, \"ingest_peak_rss_bytes\": {}, \
+             \"minhash_scheme\": \"{scheme}\", \
              \"filter_secs\": {:.3}, \"filter_peak_rss_bytes\": {}, \
-             \"output_records\": {}, \"materialized_peak_rss_bytes\": {} }}",
+             \"output_records\": {}, \"f1_gold\": {:.4}, \
+             \"materialized_peak_rss_bytes\": {} }}",
             r.records,
             r.records,
             r.entities,
@@ -209,6 +217,7 @@ fn main() {
             r.filter_secs,
             r.filter_peak_rss,
             r.output_records,
+            r.f1_gold,
             r.materialized_peak_rss,
         ));
     }
@@ -233,7 +242,18 @@ fn main() {
             );
             std::process::exit(1);
         }
-        println!("smoke mode: store path bit-identical and ingest stays out-of-core; baseline not written");
+        if r.f1_gold.is_nan() || r.f1_gold < SMOKE_F1_FLOOR {
+            eprintln!(
+                "FAIL: filter gold F1 {:.4} is below the {SMOKE_F1_FLOOR} floor at {} records",
+                r.f1_gold, r.records
+            );
+            std::process::exit(1);
+        }
+        println!(
+            "smoke mode: store path bit-identical, ingest stays out-of-core, gold F1 {:.4}; \
+             baseline not written",
+            r.f1_gold
+        );
         return;
     }
 

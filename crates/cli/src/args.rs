@@ -1,10 +1,29 @@
 //! Tiny dependency-free argument parsing for the `adalsh` CLI.
 //!
 //! Grammar: `adalsh <command> [positional…] [--flag value…]`. Flags are
-//! always `--name value` pairs except boolean switches listed in
-//! [`Args::switch`].
+//! always `--name value` pairs except the subcommand's boolean switches.
+//! Each subcommand declares the options it reads in a [`Spec`]; any
+//! other `--name` is a parse error, so a misspelt or removed flag never
+//! silently runs the defaults.
 
 use std::collections::BTreeMap;
+
+/// The options one subcommand reads: `--name value` flags, in groups so
+/// subcommands can share one (the oracle flags, say), and boolean
+/// `--name` switches.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Spec {
+    /// Value-taking flag names, by group.
+    pub flags: &'static [&'static [&'static str]],
+    /// Boolean switch names.
+    pub switches: &'static [&'static str],
+}
+
+impl Spec {
+    fn takes_flag(&self, name: &str) -> bool {
+        self.flags.iter().any(|group| group.contains(&name))
+    }
+}
 
 /// Parsed command line: a command, positionals, and `--flag value` pairs.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -15,32 +34,33 @@ pub struct Args {
     pub positional: Vec<String>,
     flags: BTreeMap<String, String>,
     switches: Vec<String>,
+    spec: Spec,
 }
 
 impl Args {
-    /// Parses raw arguments (excluding the program name).
+    /// Parses raw arguments (excluding the program name) against the
+    /// subcommand's `spec`.
     ///
     /// # Errors
-    /// Fails on an empty argument list or a `--flag` without a value
-    /// (unless it is a known boolean switch).
-    pub fn parse<I: IntoIterator<Item = String>>(
-        raw: I,
-        bool_switches: &[&str],
-    ) -> Result<Self, String> {
-        let mut iter = raw.into_iter().peekable();
+    /// Fails on an empty argument list, a `--name` the spec does not
+    /// list, or a flag without a value.
+    pub fn parse<I: IntoIterator<Item = String>>(raw: I, spec: Spec) -> Result<Self, String> {
+        let mut iter = raw.into_iter();
         let command = iter.next().ok_or("missing command")?;
         let mut positional = Vec::new();
         let mut flags = BTreeMap::new();
         let mut switches = Vec::new();
         while let Some(arg) = iter.next() {
             if let Some(name) = arg.strip_prefix("--") {
-                if bool_switches.contains(&name) {
+                if spec.switches.contains(&name) {
                     switches.push(name.to_string());
-                } else {
+                } else if spec.takes_flag(name) {
                     let value = iter
                         .next()
                         .ok_or_else(|| format!("flag --{name} needs a value"))?;
                     flags.insert(name.to_string(), value);
+                } else {
+                    return Err(format!("unknown flag --{name} for '{command}'"));
                 }
             } else {
                 positional.push(arg);
@@ -51,11 +71,17 @@ impl Args {
             positional,
             flags,
             switches,
+            spec,
         })
     }
 
     /// The value of `--name`, if given.
     pub fn flag(&self, name: &str) -> Option<&str> {
+        debug_assert!(
+            self.spec.takes_flag(name),
+            "'{}' reads --{name}, which its Spec does not list",
+            self.command
+        );
         self.flags.get(name).map(String::as_str)
     }
 
@@ -75,6 +101,11 @@ impl Args {
 
     /// Is the boolean switch `--name` present?
     pub fn switch(&self, name: &str) -> bool {
+        debug_assert!(
+            self.spec.switches.contains(&name),
+            "'{}' reads --{name}, which its Spec does not list",
+            self.command
+        );
         self.switches.iter().any(|s| s == name)
     }
 
@@ -94,8 +125,13 @@ impl Args {
 mod tests {
     use super::*;
 
+    const SPEC: Spec = Spec {
+        flags: &[&["k", "method"]],
+        switches: &["verbose"],
+    };
+
     fn parse(parts: &[&str]) -> Result<Args, String> {
-        Args::parse(parts.iter().map(|s| s.to_string()), &["verbose"])
+        Args::parse(parts.iter().map(|s| s.to_string()), SPEC)
     }
 
     #[test]
@@ -105,7 +141,8 @@ mod tests {
         assert_eq!(a.positional, vec!["data.jsonl"]);
         assert_eq!(a.flag("k"), Some("5"));
         assert_eq!(a.flag("method"), Some("adalsh"));
-        assert_eq!(a.flag("missing"), None);
+        let b = parse(&["filter", "data.jsonl"]).unwrap();
+        assert_eq!(b.flag("k"), None);
     }
 
     #[test]
@@ -122,14 +159,21 @@ mod tests {
 
     #[test]
     fn empty_args_is_error() {
-        assert!(Args::parse(std::iter::empty(), &[]).is_err());
+        assert!(Args::parse(std::iter::empty(), SPEC).is_err());
+    }
+
+    #[test]
+    fn unlisted_flag_is_error_naming_flag_and_command() {
+        let err = parse(&["filter", "d.jsonl", "--thread", "1"]).unwrap_err();
+        assert!(err.contains("--thread"), "{err}");
+        assert!(err.contains("'filter'"), "{err}");
     }
 
     #[test]
     fn flag_or_parses_and_defaults() {
         let a = parse(&["x", "--k", "7"]).unwrap();
         assert_eq!(a.flag_or("k", 1usize).unwrap(), 7);
-        assert_eq!(a.flag_or("missing", 3usize).unwrap(), 3);
+        assert_eq!(a.flag_or("method", 3usize).unwrap(), 3);
         let bad = parse(&["x", "--k", "seven"]).unwrap();
         assert!(bad.flag_or("k", 1usize).is_err());
     }

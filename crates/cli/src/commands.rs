@@ -7,7 +7,7 @@ use adalsh_core::algorithm::{AdaLsh, AdaLshConfig, FilterMethod, FilterOutput};
 use adalsh_core::baselines::{LshBlocking, Pairs};
 use adalsh_core::metrics::{map_mar, reduction_pct, set_metrics};
 use adalsh_core::recovery::perfect_recovery;
-use adalsh_core::{MinhashScheme, NoisyOracleConfig, OnlineAdaLsh, OracleMode, OracleSpend};
+use adalsh_core::{NoisyOracleConfig, OnlineAdaLsh, OracleMode, OracleSpend};
 use adalsh_data::{io as dio, Dataset, RecordStore};
 use adalsh_datagen::popimages::PopImagesConfig;
 use adalsh_datagen::spotsigs::SpotSigsConfig;
@@ -20,9 +20,102 @@ use adalsh_obs::{
 use adalsh_serve::{PipelineConfig, ServeSnapshot, Server, ServerConfig, Service};
 use adalsh_store::{StoreBuilder, StoreView};
 
-use crate::args::Args;
+use crate::args::{Args, Spec};
 use crate::bench_diff;
 use crate::rules;
+
+/// One subcommand: its name, the options it reads, and its handler.
+pub struct Command {
+    /// The subcommand name (first argument).
+    pub name: &'static str,
+    /// Every `--name` the handler reads; anything else is rejected
+    /// before the handler runs.
+    pub spec: Spec,
+    /// The handler.
+    pub run: fn(&Args) -> Result<(), String>,
+}
+
+impl Command {
+    const fn new(
+        name: &'static str,
+        flags: &'static [&'static [&'static str]],
+        switches: &'static [&'static str],
+        run: fn(&Args) -> Result<(), String>,
+    ) -> Self {
+        Self {
+            name,
+            spec: Spec { flags, switches },
+            run,
+        }
+    }
+}
+
+/// Flags of the pairwise oracle ([`oracle_mode`]): `--oracle` first,
+/// then the satellite flags that need `--oracle noisy`.
+const ORACLE_FLAGS: &[&str] = &[
+    "oracle",
+    "oracle-fp",
+    "oracle-fn",
+    "oracle-fault",
+    "oracle-seed",
+    "oracle-budget",
+    "oracle-votes",
+    "oracle-timeout-ms",
+];
+
+/// Flags `filter` and `evaluate` share: the input ([`load_input`]) and
+/// the method run ([`run_method`]).
+const RUN_FLAGS: &[&str] = &[
+    "store",
+    "k",
+    "rule",
+    "method",
+    "threads",
+    "trace-out",
+    "slow-ms",
+];
+
+/// Flags [`serve`] reads besides the oracle's.
+const SERVE_FLAGS: &[&str] = &[
+    "addr",
+    "workers",
+    "threads",
+    "snapshot-out",
+    "queue-cap",
+    "max-batch",
+    "resolve-k",
+    "slow-ms",
+    "trace-out",
+    "resume",
+    "rule",
+];
+
+/// Every subcommand with the flags (in groups) and switches it reads.
+pub const COMMANDS: &[Command] = &[
+    Command::new(
+        "generate",
+        &[&["out", "seed", "records", "entities", "exponent"]],
+        &[],
+        generate,
+    ),
+    Command::new(
+        "datagen",
+        &[&["out", "seed", "records", "exponent", "max-entity-size"]],
+        &[],
+        datagen,
+    ),
+    Command::new("info", &[], &["verbose"], info),
+    Command::new("filter", &[RUN_FLAGS, ORACLE_FLAGS, &["out"]], &[], filter),
+    Command::new(
+        "evaluate",
+        &[RUN_FLAGS, ORACLE_FLAGS, &["khat"]],
+        &[],
+        evaluate,
+    ),
+    Command::new("serve", &[SERVE_FLAGS, ORACLE_FLAGS], &[], serve),
+    Command::new("trace", &[], &[], trace),
+    Command::new("bench", &[], &["smoke"], bench),
+];
 
 /// `adalsh generate <family> --out file …`
 pub fn generate(args: &Args) -> Result<(), String> {
@@ -191,19 +284,6 @@ pub fn serve(args: &Args) -> Result<(), String> {
 
     let (resolver, rule) = if let Some(path) = args.flag("resume") {
         let snapshot = ServeSnapshot::load(Path::new(path))?;
-        // The snapshot's hash states were computed under its recorded
-        // scheme; an explicitly conflicting flag is an error rather
-        // than a silent engine rebuild.
-        if let Some(flag) = args.flag("minhash-scheme") {
-            let asked: MinhashScheme = flag.parse()?;
-            if asked != snapshot.scheme {
-                return Err(format!(
-                    "snapshot was taken with --minhash-scheme {} but {asked} was requested; \
-                     resuming would invalidate every persisted hash state",
-                    snapshot.scheme
-                ));
-            }
-        }
         let rule = snapshot.rule.clone();
         let mut config = AdaLshConfig::new(rule.clone());
         if threads > 0 {
@@ -221,7 +301,6 @@ pub fn serve(args: &Args) -> Result<(), String> {
         if threads > 0 {
             config.threads = threads;
         }
-        config.minhash_scheme = args.flag_or("minhash-scheme", MinhashScheme::Classic)?;
         config.oracle = oracle_mode(args)?;
         config.trace = trace;
         let resolver = OnlineAdaLsh::new(&dataset, config)?;
@@ -336,18 +415,9 @@ pub fn datagen(args: &Args) -> Result<(), String> {
 /// flags. Satellite flags without `--oracle noisy` are an error rather
 /// than silently ignored configuration.
 fn oracle_mode(args: &Args) -> Result<OracleMode, String> {
-    const SATELLITES: [&str; 7] = [
-        "oracle-fp",
-        "oracle-fn",
-        "oracle-fault",
-        "oracle-seed",
-        "oracle-budget",
-        "oracle-votes",
-        "oracle-timeout-ms",
-    ];
     match args.flag("oracle").unwrap_or("exact") {
         "exact" => {
-            if let Some(flag) = SATELLITES.iter().find(|f| args.flag(f).is_some()) {
+            if let Some(flag) = ORACLE_FLAGS[1..].iter().find(|f| args.flag(f).is_some()) {
                 return Err(format!("--{flag} requires --oracle noisy"));
             }
             Ok(OracleMode::Exact)
@@ -437,7 +507,6 @@ fn run_method(
             if threads > 0 {
                 config.threads = threads;
             }
-            config.minhash_scheme = args.flag_or("minhash-scheme", MinhashScheme::Classic)?;
             config.oracle = oracle;
             if let Some(path) = trace_out {
                 let sink = trace_sink(path)?;

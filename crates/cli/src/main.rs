@@ -31,15 +31,12 @@ USAGE:
   adalsh datagen --out <file.store> [--records N] [--seed S] [--exponent E] [--max-entity-size N]
   adalsh info <data.jsonl>
   adalsh filter <data.jsonl | --store <file.store>> --k <K> [--method adalsh|pairs|lsh<X>] [--rule <spec>]
-                [--threads <N>] [--out <file>]
-                [--minhash-scheme classic|doph] [--trace-out <file.jsonl>] [--oracle exact|noisy …]
+                [--threads <N>] [--out <file>] [--trace-out <file.jsonl>] [--oracle exact|noisy …]
   adalsh evaluate <data.jsonl | --store <file.store>> --k <K> [--khat <K2>] [--method <m>] [--rule <spec>]
-                [--threads <N>]
-                [--minhash-scheme classic|doph] [--trace-out <file.jsonl>] [--oracle exact|noisy …]
+                [--threads <N>] [--trace-out <file.jsonl>] [--oracle exact|noisy …]
   adalsh serve <bootstrap.jsonl> [--addr <host:port>] [--rule <spec>] [--snapshot-out <file>]
                [--workers <N>] [--threads <N>] [--queue-cap <N>] [--max-batch <N>] [--resolve-k <K>]
-               [--slow-ms <T>] [--minhash-scheme classic|doph] [--trace-out <file.jsonl>]
-               [--oracle exact|noisy …]
+               [--slow-ms <T>] [--trace-out <file.jsonl>] [--oracle exact|noisy …]
   adalsh serve --resume <snapshot.json> [--addr <host:port>] [--workers <N>] [--threads <N>]
                [--queue-cap <N>] [--max-batch <N>] [--resolve-k <K>] [--slow-ms <T>]
   adalsh trace <validate|summarize|attribute> <trace.jsonl>
@@ -140,16 +137,9 @@ THREADS:
                      runs the sequential reference path; output and
                      statistics are identical at any thread count)
 
-MINHASH SCHEME (adaLSH method, Jaccard fields):
-  --minhash-scheme classic|doph
-                     classic (default): one keyed permutation per hash
-                     slot — bit-compatible with existing snapshots.
-                     doph: densified one-permutation hashing — all K*L
-                     slots in one pass per record (O(|set| + K*L) instead
-                     of O(|set| * K*L)); hash values and collision
-                     statistics differ slightly from classic, so serve
-                     snapshots record the scheme and refuse a mismatched
-                     resume.
+FLAGS:
+  A flag the command does not take is an error (exit status 2), never
+  silently ignored.
 ";
 
 fn main() {
@@ -158,25 +148,18 @@ fn main() {
         print!("{USAGE}");
         return;
     }
-    let args = match Args::parse(raw, &["verbose", "smoke"]) {
+    let Some(command) = commands::COMMANDS.iter().find(|c| c.name == raw[0]) else {
+        eprintln!("error: unknown command '{}'", raw[0]);
+        std::process::exit(1);
+    };
+    let args = match Args::parse(raw, command.spec) {
         Ok(a) => a,
         Err(e) => {
             eprintln!("error: {e}\n\n{USAGE}");
             std::process::exit(2);
         }
     };
-    let result = match args.command.as_str() {
-        "generate" => commands::generate(&args),
-        "datagen" => commands::datagen(&args),
-        "info" => commands::info(&args),
-        "filter" => commands::filter(&args),
-        "evaluate" => commands::evaluate(&args),
-        "serve" => commands::serve(&args),
-        "trace" => commands::trace(&args),
-        "bench" => commands::bench(&args),
-        other => Err(format!("unknown command '{other}'")),
-    };
-    if let Err(e) = result {
+    if let Err(e) = (command.run)(&args) {
         eprintln!("error: {e}");
         std::process::exit(1);
     }

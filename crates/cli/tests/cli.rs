@@ -459,6 +459,26 @@ fn unknown_command_fails_cleanly() {
     assert!(err.contains("unknown command"), "{err}");
 }
 
+/// A flag the subcommand does not take — a removed one, or a typo — is
+/// a usage error naming the flag and the subcommand, not a run under
+/// the defaults.
+#[test]
+fn unknown_flag_is_rejected() {
+    let data = tmpfile("uf.jsonl");
+    generate(&data);
+    for (flag, value) in [("--minhash-scheme", "doph"), ("--thread", "1")] {
+        let out = bin()
+            .args(["filter", data.to_str().unwrap(), "--k", "2", flag, value])
+            .output()
+            .expect("run filter");
+        assert_eq!(out.status.code(), Some(2), "{flag} must be a usage error");
+        assert!(out.stdout.is_empty(), "nothing may run");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains(flag), "{err}");
+        assert!(err.contains("'filter'"), "{err}");
+    }
+}
+
 #[test]
 fn missing_file_fails_cleanly() {
     let out = bin()

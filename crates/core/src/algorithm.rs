@@ -72,12 +72,10 @@ pub struct AdaLshConfig {
     /// Use the wall-clock cost model (100 samples) instead of the
     /// deterministic analytic model.
     pub measured_cost: bool,
-    /// How shingle parts evaluate MinHash: `Classic` (one keyed
-    /// permutation per slot — bit-compatible with every previously
-    /// persisted hash state) or `Doph` (densified one-permutation
-    /// hashing: all `K·L` slots in one pass over the set). Hash values
-    /// differ between schemes, so snapshots record the scheme and a
-    /// resume under the other is rejected upstream.
+    /// How shingle parts evaluate MinHash. It has a single value
+    /// ([`MinhashScheme::Classic`]); it is kept so run provenance and
+    /// serve snapshots name the scheme their hash states were computed
+    /// under.
     pub minhash_scheme: MinhashScheme,
     /// Hash records on this many worker threads inside each transitive
     /// invocation. Defaults to the machine's available parallelism; set
@@ -286,8 +284,7 @@ impl AdaLsh {
             spec.max_budget = spec.max_budget.max(needed);
         }
         let designed = design(&config.rule, store.schema(), &dims, &spec)?;
-        let mut hasher =
-            SequenceHasher::with_scheme(designed.parts, designed.levels, config.minhash_scheme);
+        let mut hasher = SequenceHasher::new(designed.parts, designed.levels);
         let cost = if config.measured_cost {
             CostModel::measured(&mut hasher, store, &config.rule, 100, config.spec.seed)
         } else {

@@ -36,8 +36,7 @@ use crate::stats::Stats;
 /// worker threads. Below this, thread spawn/join overhead (~tens of µs)
 /// rivals the hashing itself; the estimate sums each record's
 /// *remaining* budget `budget(H_to) − budget(H_reached)`, which is exact
-/// for the classic scheme (every remaining slot is evaluated) and an
-/// upper bound for DOPH.
+/// (every remaining slot is evaluated).
 const MIN_PARALLEL_EVALS: u64 = 1 << 15;
 
 /// A `HashMap` keyed by values that are already well mixed (bucket ids

@@ -3,14 +3,12 @@
 //! [`SequenceHasher::advance_scalar`], over random scheme shapes, random
 //! level ladders, and random records. States must be **bit-identical**
 //! at every level — including the `Stats::hash_evals` count — for all
-//! three scheme structures (Shared, PerPart, Weighted parts), under both
-//! MinHash schemes (classic and DOPH).
+//! three scheme structures (Shared, PerPart, Weighted parts).
 
 use adalsh_core::hashing::{HashPart, HashScratch, LevelScheme, RecordHashState, SequenceHasher};
 use adalsh_core::stats::Stats;
 use adalsh_data::{DenseVector, FieldDistance, FieldValue, Record, ShingleSet};
 use adalsh_lsh::scheme::WzScheme;
-use adalsh_lsh::MinhashScheme;
 use proptest::prelude::*;
 
 /// Advances `rec` along both paths through every level of `h` and
@@ -41,23 +39,6 @@ fn check_paths_agree(
     prop_assert_eq!(&jump, &batched, "direct jump diverged from stepwise");
     prop_assert_eq!(stj.hash_evals, stb.hash_evals);
     Ok(())
-}
-
-/// Both MinHash schemes; every case runs under each of them.
-const SCHEMES: [MinhashScheme; 2] = [MinhashScheme::Classic, MinhashScheme::Doph];
-
-/// Deepest ladder drawn for the DOPH axis. The DOPH scalar oracle
-/// recomputes the whole slot array per evaluation, so its cost grows
-/// with the square of the last level's budget; capping the ladder keeps
-/// the file's runtime bounded without thinning the classic cases.
-const DOPH_MAX_LEVELS: usize = 3;
-
-/// The level increments a case runs under `scheme`.
-fn ladder_for(increments: &[(u32, u32)], scheme: MinhashScheme) -> &[(u32, u32)] {
-    match scheme {
-        MinhashScheme::Classic => increments,
-        MinhashScheme::Doph => &increments[..increments.len().min(DOPH_MAX_LEVELS)],
-    }
 }
 
 /// Builds a monotone level ladder from per-level `(w, z)` increments so
@@ -123,15 +104,11 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let rec = Record::new(vec![shingle_field(shingles), dense_field(dense_raw, dim)]);
-        for scheme in SCHEMES {
-            let levels = shared_ladder(ladder_for(&increments, scheme), 2, skew);
-            let h = SequenceHasher::with_scheme(
-                vec![HashPart::shingles(0, seed), HashPart::dense(1, dim, seed ^ 0xabcd)],
-                levels,
-                scheme,
-            );
-            check_paths_agree(&h, &rec)?;
-        }
+        let h = SequenceHasher::new(
+            vec![HashPart::shingles(0, seed), HashPart::dense(1, dim, seed ^ 0xabcd)],
+            shared_ladder(&increments, 2, skew),
+        );
+        check_paths_agree(&h, &rec)?;
     }
 
     /// PerPart (OR-rule) scheme: independent table groups per part still
@@ -144,20 +121,16 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let rec = Record::new(vec![shingle_field(sh_a), shingle_field(sh_b)]);
-        for scheme in SCHEMES {
-            let levels = per_part_ladder(ladder_for(&increments, scheme), 2);
-            let h = SequenceHasher::with_scheme(
-                vec![HashPart::shingles(0, seed), HashPart::shingles(1, seed ^ 0x55)],
-                levels,
-                scheme,
-            );
-            check_paths_agree(&h, &rec)?;
-        }
+        let h = SequenceHasher::new(
+            vec![HashPart::shingles(0, seed), HashPart::shingles(1, seed ^ 0x55)],
+            per_part_ladder(&increments, 2),
+        );
+        check_paths_agree(&h, &rec)?;
     }
 
     /// Definition-7 weighted part (Jaccard + Angular components): the
     /// per-function sub-part selection routes tasks to scattering leaves
-    /// (DOPH or classic MinHash, hyperplanes); the scattered results must
+    /// (MinHash, hyperplanes); the scattered results must
     /// fold exactly like the scalar path.
     #[test]
     fn batched_equals_scalar_weighted(
@@ -169,19 +142,16 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let rec = Record::new(vec![shingle_field(shingles), dense_field(dense_raw, dim)]);
-        for scheme in SCHEMES {
-            let levels = shared_ladder(ladder_for(&increments, scheme), 1, 1);
-            let part = HashPart::weighted(
-                &[
-                    (0, FieldDistance::Jaccard, weight),
-                    (1, FieldDistance::Angular, 1.0 - weight),
-                ],
-                &[0, dim],
-                seed,
-            );
-            let h = SequenceHasher::with_scheme(vec![part], levels, scheme);
-            check_paths_agree(&h, &rec)?;
-        }
+        let part = HashPart::weighted(
+            &[
+                (0, FieldDistance::Jaccard, weight),
+                (1, FieldDistance::Angular, 1.0 - weight),
+            ],
+            &[0, dim],
+            seed,
+        );
+        let h = SequenceHasher::new(vec![part], shared_ladder(&increments, 1, 1));
+        check_paths_agree(&h, &rec)?;
     }
 
     /// A mixed three-part AND rule (shingles + dense + weighted) under a
@@ -198,26 +168,22 @@ proptest! {
             shingle_field(shingles),
             dense_field(dense_raw, dim),
         ]);
-        for scheme in SCHEMES {
-            let levels = shared_ladder(ladder_for(&increments, scheme), 3, 2);
-            let weighted = HashPart::weighted(
-                &[
-                    (0, FieldDistance::Jaccard, 0.5),
-                    (1, FieldDistance::Angular, 0.5),
-                ],
-                &[0, dim],
-                seed ^ 0xf00d,
-            );
-            let h = SequenceHasher::with_scheme(
-                vec![
-                    HashPart::shingles(0, seed),
-                    HashPart::dense(1, dim, seed ^ 1),
-                    weighted,
-                ],
-                levels,
-                scheme,
-            );
-            check_paths_agree(&h, &rec)?;
-        }
+        let weighted = HashPart::weighted(
+            &[
+                (0, FieldDistance::Jaccard, 0.5),
+                (1, FieldDistance::Angular, 0.5),
+            ],
+            &[0, dim],
+            seed ^ 0xf00d,
+        );
+        let h = SequenceHasher::new(
+            vec![
+                HashPart::shingles(0, seed),
+                HashPart::dense(1, dim, seed ^ 1),
+                weighted,
+            ],
+            shared_ladder(&increments, 3, 2),
+        );
+        check_paths_agree(&h, &rec)?;
     }
 }

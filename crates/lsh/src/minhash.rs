@@ -11,7 +11,22 @@
 //! indistinguishable from random permutations of the 64-bit universe for
 //! this purpose and far cheaper than explicit permutation tables.
 
+use serde::{Deserialize, Serialize};
+
 use crate::mix::{combine, combine_premixed, derive_seed, premix};
+
+/// How a Jaccard hash part evaluates MinHash: one independent keyed
+/// permutation per slot, so the `w·z` functions of a level are the
+/// independent draws the `(w,z)` collision model assumes. The single
+/// variant is recorded in configurations and serve snapshots, so a
+/// snapshot naming any other scheme fails to parse instead of resuming
+/// hash states this build cannot extend.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+pub enum MinhashScheme {
+    /// One independent keyed permutation per slot.
+    #[default]
+    Classic,
+}
 
 /// A family of MinHash functions over shingle sets (`&[u64]`).
 #[derive(Debug, Clone, Copy)]
@@ -28,13 +43,6 @@ impl MinHashFamily {
     /// Creates a family with the given seed.
     pub fn new(seed: u64) -> Self {
         Self { seed }
-    }
-
-    /// The family seed — lets a sibling scheme over the same part (e.g.
-    /// [`crate::doph::DensifiedMinHash`]) derive its randomness from the
-    /// same root without the caller threading the seed separately.
-    pub fn seed(&self) -> u64 {
-        self.seed
     }
 
     /// Evaluates hash function `fn_index` on a shingle set.

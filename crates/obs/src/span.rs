@@ -34,7 +34,7 @@
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
 use crate::trace::{Event, OwnedValue, Subscriber, TraceSink, Value};
@@ -271,7 +271,7 @@ fn slow_suffix(extra: &[(&'static str, Value<'static>)]) -> String {
 /// RSS/page-fault deltas around mmap-backed work.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ProcSample {
-    /// Current resident set size in bytes (`VmRSS`).
+    /// Current resident set size in bytes.
     pub rss_bytes: u64,
     /// Minor page faults since process start.
     pub minor_faults: u64,
@@ -280,28 +280,28 @@ pub struct ProcSample {
 }
 
 impl ProcSample {
-    /// Samples `/proc/self/status` (RSS) and `/proc/self/stat`
-    /// (fault counters); `None` where procfs is unavailable.
+    /// Samples `/proc/self/stat` (fault counters and resident pages);
+    /// `None` where procfs is unavailable. The serve pipeline samples
+    /// twice per traced ingest pass, so a sample is one `pread` of a
+    /// file opened once: re-reading procfs from offset 0 regenerates
+    /// the record without the path walk of a fresh open, and
+    /// `/proc/self/status` would cost a second read for the same RSS.
     pub fn capture() -> Option<Self> {
-        let status = std::fs::read_to_string("/proc/self/status").ok()?;
-        let rss_kib: u64 = status
-            .lines()
-            .find(|l| l.starts_with("VmRSS:"))?
-            .split_whitespace()
-            .nth(1)?
-            .parse()
-            .ok()?;
-        let stat = std::fs::read_to_string("/proc/self/stat").ok()?;
+        let mut buf = [0u8; 4096];
+        let len = read_proc_stat(&mut buf)?;
+        let stat = std::str::from_utf8(&buf[..len]).ok()?;
         // Fields after the parenthesized comm (which may itself contain
         // spaces): state(3) ppid pgrp session tty tpgid flags minflt(10)
-        // cminflt majflt(12) — so minflt is token 7 and majflt token 9
-        // of the tail.
+        // cminflt majflt(12) cmajflt utime stime cutime cstime priority
+        // nice num_threads itrealvalue starttime vsize rss(24) — so
+        // minflt is token 7, majflt token 9 and rss token 21 of the tail.
         let tail = stat.rsplit_once(')')?.1;
         let mut tokens = tail.split_whitespace();
         let minor: u64 = tokens.nth(7)?.parse().ok()?;
         let major: u64 = tokens.nth(1)?.parse().ok()?;
+        let rss_pages: u64 = tokens.nth(11)?.parse().ok()?;
         Some(Self {
-            rss_bytes: rss_kib * 1024,
+            rss_bytes: rss_pages * page_size()?,
             minor_faults: minor,
             major_faults: major,
         })
@@ -477,6 +477,44 @@ impl Subscriber for SpanCollector {
     }
 }
 
+/// Reads this process's `/proc/self/stat` record into `buf` through a
+/// file opened on first use; `None` if procfs is unavailable or the
+/// record does not fit.
+#[cfg(unix)]
+fn read_proc_stat(buf: &mut [u8]) -> Option<usize> {
+    use std::os::unix::fs::FileExt;
+    static STAT: OnceLock<Option<std::fs::File>> = OnceLock::new();
+    let file = STAT
+        .get_or_init(|| std::fs::File::open("/proc/self/stat").ok())
+        .as_ref()?;
+    let len = file.read_at(buf, 0).ok()?;
+    (len < buf.len()).then_some(len)
+}
+
+#[cfg(not(unix))]
+fn read_proc_stat(_buf: &mut [u8]) -> Option<usize> {
+    None
+}
+
+/// The kernel page size, from the `AT_PAGESZ` entry of the process's
+/// auxiliary vector (read once); `None` where procfs is unavailable.
+fn page_size() -> Option<u64> {
+    static PAGE_SIZE: OnceLock<Option<u64>> = OnceLock::new();
+    *PAGE_SIZE.get_or_init(|| {
+        const AT_PAGESZ: usize = 6;
+        const WORD: usize = std::mem::size_of::<usize>();
+        let word = |bytes: &[u8]| {
+            let mut w = [0u8; WORD];
+            w.copy_from_slice(bytes);
+            usize::from_ne_bytes(w)
+        };
+        let auxv = std::fs::read("/proc/self/auxv").ok()?;
+        auxv.chunks_exact(2 * WORD)
+            .find(|entry| word(&entry[..WORD]) == AT_PAGESZ)
+            .map(|entry| word(&entry[WORD..]) as u64)
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -557,6 +595,23 @@ mod tests {
     fn proc_sample_captures_and_deltas() {
         let before = ProcSample::capture().expect("procfs available in CI");
         assert!(before.rss_bytes > 1 << 20, "implausible RSS");
+        let page = page_size().unwrap();
+        assert!(page.is_power_of_two() && page >= 4096, "page size {page}");
+        // The same resident size `/proc/self/status` reports, give or
+        // take what the process touched between the two reads.
+        let status = std::fs::read_to_string("/proc/self/status").unwrap();
+        let vm_rss: u64 = status
+            .lines()
+            .find_map(|l| l.strip_prefix("VmRSS:"))
+            .and_then(|v| v.split_whitespace().next())
+            .and_then(|kib| kib.parse().ok())
+            .unwrap();
+        let status_bytes = vm_rss * 1024;
+        assert!(
+            before.rss_bytes.abs_diff(status_bytes) < 4 << 20,
+            "stat RSS {} vs status VmRSS {status_bytes}",
+            before.rss_bytes
+        );
         let ballast = vec![7u8; 8 << 20];
         std::hint::black_box(&ballast);
         let after = ProcSample::capture().unwrap();

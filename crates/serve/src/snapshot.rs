@@ -33,13 +33,12 @@ pub struct ServeSnapshot {
     /// rebuilding a different engine (which would invalidate every
     /// persisted hash state).
     pub rule: MatchRule,
-    /// MinHash evaluation scheme the hash states were computed under.
-    /// Classic and DOPH values are incompatible, so restore rebuilds the
-    /// engine under the persisted scheme (serde-defaulted to `classic`
-    /// for snapshots written before the field existed — those were
-    /// always classic).
-    #[serde(default)]
-    pub scheme: MinhashScheme,
+    /// MinHash evaluation scheme the hash states were computed under
+    /// (`None` for snapshots written before the field existed — those
+    /// were always classic). Classic is the only scheme, so a snapshot
+    /// naming another one fails to load rather than resume hash states
+    /// this build cannot extend.
+    pub scheme: Option<MinhashScheme>,
     /// The resolver state proper.
     pub resolver: OnlineSnapshot,
 }
@@ -50,7 +49,7 @@ impl ServeSnapshot {
         Self {
             version: SNAPSHOT_VERSION,
             rule,
-            scheme: resolver.config().minhash_scheme,
+            scheme: Some(resolver.config().minhash_scheme),
             resolver: resolver.snapshot(),
         }
     }
@@ -58,14 +57,12 @@ impl ServeSnapshot {
     /// Restores a resolver, verifying version and rule agreement.
     ///
     /// `config` must be the configuration the restarted server would use
-    /// anyway; its rule is checked against the persisted one, and its
-    /// MinHash scheme is overridden by the persisted one (hash states
-    /// only make sense under the scheme that computed them).
+    /// anyway; its rule is checked against the persisted one.
     ///
     /// # Errors
     /// Fails on version or rule mismatch, or on an inconsistent resolver
     /// snapshot (see [`OnlineAdaLsh::from_snapshot`]).
-    pub fn restore(self, mut config: AdaLshConfig) -> Result<OnlineAdaLsh, String> {
+    pub fn restore(self, config: AdaLshConfig) -> Result<OnlineAdaLsh, String> {
         if self.version != SNAPSHOT_VERSION {
             return Err(format!(
                 "snapshot version {} unsupported (expected {SNAPSHOT_VERSION})",
@@ -79,7 +76,6 @@ impl ServeSnapshot {
                 self.rule, config.rule
             ));
         }
-        config.minhash_scheme = self.scheme;
         OnlineAdaLsh::from_snapshot(self.resolver, config)
     }
 

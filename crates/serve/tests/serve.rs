@@ -355,6 +355,76 @@ fn snapshot_restart_resumes_without_rehashing() {
     let _ = std::fs::remove_file(&path);
 }
 
+/// Writes a snapshot of a server that applied one ingest burst and
+/// returns the snapshot's JSON text together with the `/topk?k=2` body
+/// served just before it was taken.
+fn snapshot_after_burst(tag: &str) -> (String, String) {
+    let path = std::env::temp_dir().join(format!("adalsh-serve-{tag}-{}.json", std::process::id()));
+    let (server, _service) = start_server(Some(path.clone()));
+    let addr = server.local_addr();
+    let burst: Vec<Record> = (0..6).map(|i| record(1, 70 + i)).collect();
+    let (status, body) = post(addr, "/ingest", &ingest_body(&burst));
+    assert_eq!(status, 200, "{body}");
+    let visible_epoch = u64_field(&body, "visible_epoch");
+    let (_, served) = get(addr, &format!("/topk?k=2&wait_epoch={visible_epoch}"));
+    let (status, body) = post(addr, "/snapshot", "");
+    assert_eq!(status, 200, "{body}");
+    server.shutdown();
+    let text = std::fs::read_to_string(&path).unwrap();
+    let _ = std::fs::remove_file(&path);
+    (text, served)
+}
+
+/// Loads snapshot JSON `text` the way `serve --resume` does.
+fn load_snapshot_text(text: &str, tag: &str) -> Result<ServeSnapshot, String> {
+    let path = std::env::temp_dir().join(format!("adalsh-serve-{tag}-{}.json", std::process::id()));
+    std::fs::write(&path, text).unwrap();
+    let loaded = ServeSnapshot::load(&path);
+    let _ = std::fs::remove_file(&path);
+    loaded
+}
+
+/// A classic snapshot resumes with `/topk` bit-identical to the served
+/// answer, whether it carries the `scheme` field or predates it.
+#[test]
+fn classic_snapshot_resumes_with_or_without_scheme_field() {
+    let (text, served) = snapshot_after_burst("classic");
+    let field = "\"scheme\":\"Classic\",";
+    assert!(text.contains(field), "snapshot records its scheme");
+    let without = text.replacen(field, "", 1);
+    for (tag, variant) in [("with-scheme", &text), ("without-scheme", &without)] {
+        let restored = load_snapshot_text(variant, tag)
+            .unwrap()
+            .restore(AdaLshConfig::new(rule()))
+            .unwrap_or_else(|e| panic!("{tag}: {e}"));
+        let (server, _service) = start_server_with(restored, None, ServerConfig::default());
+        let (status, body) = get(server.local_addr(), "/topk?k=2");
+        assert_eq!(status, 200, "{tag}: {body}");
+        assert_eq!(clusters_of(&body), clusters_of(&served), "{tag}");
+        assert_eq!(hash_evals_of(&body), 0, "{tag}: nothing left to re-hash");
+        server.shutdown();
+    }
+}
+
+/// A snapshot whose hash states were computed under a scheme this build
+/// does not implement (the removed one-permutation scheme, in the
+/// spelling earlier builds wrote and in lowercase) must fail to resume,
+/// and the error must name the scheme.
+#[test]
+fn snapshot_under_an_unknown_scheme_fails_to_resume() {
+    let (text, _) = snapshot_after_burst("unknown-scheme");
+    for name in ["Doph", "doph"] {
+        let other = text.replacen(
+            "\"scheme\":\"Classic\"",
+            &format!("\"scheme\":\"{name}\""),
+            1,
+        );
+        assert_ne!(other, text);
+        let err = load_snapshot_text(&other, name).unwrap_err();
+        assert!(err.contains(name), "error must name the scheme: {err}");
+    }
+}
+
 #[test]
 fn malformed_traffic_gets_structured_errors() {
     let config = ServerConfig {
